@@ -10,9 +10,9 @@
 //   rpc.dispatch -> log.append.receive -> log.durable.local ->
 //   log.quorum.commit -> rpc.recv -> append.ack -> reply.release
 //
-// This is the standing baseline for ROADMAP item 3 (group commit): the
-// gate.submit -> gate.append.issue delta IS the serialization-queue wait
-// that batching would collapse.
+// The gate.submit -> gate.append.issue delta is the wait for the append
+// ahead; with group commit, a write waits there with every other write
+// that queued beside it, and they leave as one batch.
 //
 //   writepath_breakdown [ops] [payload_bytes]
 //

@@ -1,7 +1,8 @@
 // Seed-corpus generator: writes the checked-in seeds under fuzz/corpus/.
-// Kept as a tool (rather than a one-off script) so the binary rpc frames —
-// which need the real CRC64 — can be regenerated whenever the wire format
-// changes: `memorydb-fuzz-seedgen <repo>/fuzz/corpus`.
+// Kept as a tool (rather than a one-off script) so the binary seeds — rpc
+// frames need the real CRC64, txlog requests real varints — can be
+// regenerated whenever a wire format changes:
+// `memorydb-fuzz-seedgen <repo>/fuzz/corpus`.
 //
 // RESP seeds lead with the harness' chunk-selector byte ('0' = one-shot
 // feed, '3' = 3-byte chunks); the bytes after it are the protocol stream.
@@ -12,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "resp/resp.h"
 #include "rpc/frame.h"
+#include "txlog/wire.h"
 
 namespace {
 
@@ -115,6 +118,46 @@ void RpcSeeds(const fs::path& dir) {
   WriteSeed(dir, "pipelined_frames", bytes);
 }
 
+void TxlogAppendSeeds(const fs::path& dir) {
+  using memdb::txlog::LogRecord;
+  using memdb::txlog::RecordType;
+  using memdb::txlog::wire::ClientAppendRequest;
+
+  auto record = [](RecordType type, uint64_t request_id, std::string payload) {
+    LogRecord r;
+    r.type = type;
+    r.writer = 5;
+    r.request_id = request_id;
+    r.trace_id = request_id * 1000;
+    r.payload = std::move(payload);
+    return r;
+  };
+  ClientAppendRequest one;
+  one.records.push_back(record(RecordType::kData, 1, "effect-batch"));
+  WriteSeed(dir, "one_record", one.Encode());
+
+  // A group-commit batch: data records with a checksum record inline.
+  ClientAppendRequest batch;
+  batch.prev_index = 41;
+  batch.records.push_back(record(RecordType::kData, 2, "w2"));
+  batch.records.push_back(record(RecordType::kData, 3, "w3"));
+  std::string crc;
+  memdb::PutFixed64(&crc, 0x0123456789abcdefull);
+  batch.records.push_back(record(RecordType::kChecksum, 4, crc));
+  batch.records.push_back(record(RecordType::kSlotOwnership, 5, ""));
+  WriteSeed(dir, "batch_with_checksum", batch.Encode());
+
+  // Must reject: a torn last record, a bad record type after a good one,
+  // and a raft AppendEntries body claiming far more entries than it holds.
+  const std::string bytes = batch.Encode();
+  WriteSeed(dir, "torn_last_record", bytes.substr(0, bytes.size() - 1));
+  WriteSeed(dir, "bad_second_type", one.Encode() + "\x09");
+  std::string huge_count;
+  for (int i = 0; i < 5; ++i) memdb::PutVarint64(&huge_count, 1);
+  memdb::PutVarint64(&huge_count, 1ull << 40);
+  WriteSeed(dir, "entries_count_overflow", huge_count);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -125,5 +168,6 @@ int main(int argc, char** argv) {
   const fs::path root(argv[1]);
   RespSeeds(root / "resp_decode");
   RpcSeeds(root / "rpc_frame");
+  TxlogAppendSeeds(root / "txlog_append");
   return 0;
 }

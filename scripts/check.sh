@@ -7,12 +7,13 @@
 #      + two-shard migration smoke       (live slot migration over the real
 #                                         binaries, zero acked-write loss)
 #   3. ASan+UBSan build + full ctest     (build-asan/, UBSan non-recoverable)
-#   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net, rpc, replication)
+#   4. TSan build + the concurrency-heavy suites (build-tsan/: common, net,
+#      rpc, txlog, replication)
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
 #      folded lint.py file rules); falls back to tools/lint.py if the
 #      analyzer cannot run at all
-#   6. fuzz-smoke: both parser harnesses replay their seed corpora under
+#   6. fuzz-smoke: the parser harnesses replay their seed corpora under
 #      the ASan+UBSan build from stage 3; with clang, additionally a
 #      bounded (~30s) coverage-guided libFuzzer run, crash artifacts
 #      preserved under fuzz/artifacts/
@@ -20,11 +21,12 @@
 #   8. thread-safety compile-fail checks (skipped with a notice if no
 #      clang++), including the analyzer-checked lock-order twins
 #
-# Stage 4 runs only common_test, net_test, rpc_test, and replication_test:
-# TSan slows everything ~10x and those suites exercise every cross-thread
-# edge (the lock-free TraceLog ring, io threads, loop hand-off, gate
-# completion, follower/applier bridge); the rest of the tree is
-# single-threaded by construction and covered by stages 1-3.
+# Stage 4 runs only common_test, net_test, rpc_test, txlog_test, and
+# replication_test: TSan slows everything ~10x and those suites exercise
+# every cross-thread edge (the lock-free TraceLog ring, io threads, loop
+# hand-off, gate completion, the real-RPC lease races over batched appends,
+# follower/applier bridge); the rest of the tree is single-threaded by
+# construction and covered by stages 1-3.
 #
 # Also exposed as `cmake --build build --target check`.
 
@@ -137,12 +139,12 @@ run_stage "asan+ubsan build + ctest" \
 tsan_stage() {
   cmake -B build-tsan -S "$ROOT" -DMEMDB_SANITIZE=thread &&
     cmake --build build-tsan -j "$JOBS" --target common_test net_test \
-      rpc_test replication_test &&
+      rpc_test txlog_test replication_test &&
     (cd build-tsan &&
       ctest --output-on-failure \
-        -R '^(common_test|net_test|rpc_test|replication_test)$')
+        -R '^(common_test|net_test|rpc_test|txlog_test|replication_test)$')
 }
-run_stage "tsan build + common/net/rpc suites" tsan_stage
+run_stage "tsan build + common/net/rpc/txlog suites" tsan_stage
 
 # --- 5. analyzer: call-graph repo invariants ---------------------------------
 # memdb-analyzer subsumes lint.py's four regex rules and adds the
@@ -174,7 +176,7 @@ fi
 # artifact is preserved under fuzz/artifacts/ for replay.
 fuzz_smoke_stage() {
   local rc=0
-  for harness in resp_decode rpc_frame; do
+  for harness in resp_decode rpc_frame txlog_append; do
     local driver="$ROOT/build-asan/fuzz/${harness}_fuzz_driver"
     if [ ! -x "$driver" ]; then
       echo "missing $driver (stage 3 must build first)" >&2

@@ -29,12 +29,16 @@ Histogram::Histogram()
   for (size_t i = 0; i < kBuckets; ++i) buckets_[i].store(0, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(const Histogram& other) : Histogram() { Merge(other); }
+Histogram::Histogram(const Histogram& other) : Histogram() {
+  Merge(other);
+  set_scale(other.scale());
+}
 
 Histogram& Histogram::operator=(const Histogram& other) {
   if (this != &other) {
     Reset();
     Merge(other);
+    set_scale(other.scale());
   }
   return *this;
 }

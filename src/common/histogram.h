@@ -1,5 +1,6 @@
 // Log-bucketed latency histogram (HdrHistogram-style) used by the benchmark
-// harness and by per-node metrics. Values are recorded in microseconds.
+// harness and by per-node metrics. Values are recorded in microseconds,
+// or in a finer unit when a scale is set (see set_scale).
 //
 // Thread-safety: Record() is lock-free and safe to call concurrently with
 // readers and other writers (relaxed atomics per bucket). Readers observe a
@@ -42,6 +43,15 @@ class Histogram {
 
   std::string Summary() const;  // "p50=... p99=... p100=... mean=..."
 
+  // Recorded units per reported unit: 1000 for a *_us histogram fed in
+  // nanoseconds, so sub-microsecond samples keep their resolution. Record,
+  // sum and Percentile stay in recorded units; readers that report them
+  // (METRICS exposition, INFO) divide by the scale.
+  void set_scale(uint32_t scale) {
+    scale_.store(scale, std::memory_order_relaxed);
+  }
+  uint32_t scale() const { return scale_.load(std::memory_order_relaxed); }
+
  private:
   // Buckets: 64 powers-of-two, each split into 32 linear sub-buckets.
   static constexpr int kSubBits = 5;
@@ -55,6 +65,7 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{~0ULL};
   std::atomic<uint64_t> max_{0};
+  std::atomic<uint32_t> scale_{1};
 };
 
 }  // namespace memdb

@@ -132,7 +132,7 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
     snap.values[SeriesName(key.first + "_count", key.second)] =
         static_cast<int64_t>(h->count());
     snap.values[SeriesName(key.first + "_sum", key.second)] =
-        static_cast<int64_t>(h->sum());
+        static_cast<int64_t>(h->sum() / h->scale());
   }
   return snap;
 }
@@ -183,6 +183,15 @@ std::string MetricsRegistry::ExpositionText() const {
            std::to_string(g->value()) + "\n";
   }
   last_family.clear();
+  // A scaled histogram reports in its family's unit, with the extra
+  // resolution as decimals.
+  auto value = [](uint64_t v, uint32_t scale) {
+    if (scale <= 1) return std::to_string(v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f",
+                  static_cast<double>(v) / static_cast<double>(scale));
+    return std::string(buf);
+  };
   for (const auto& [key, h] : histograms_) {
     type_line(key.first, "summary");
     for (const auto& [q, label] :
@@ -192,12 +201,12 @@ std::string MetricsRegistry::ExpositionText() const {
       Labels with_q = key.second;
       with_q.emplace_back("quantile", label);
       out += SeriesName(key.first, with_q) + " " +
-             std::to_string(h->Percentile(q)) + "\n";
+             value(h->Percentile(q), h->scale()) + "\n";
     }
     out += SeriesName(key.first + "_count", key.second) + " " +
            std::to_string(h->count()) + "\n";
     out += SeriesName(key.first + "_sum", key.second) + " " +
-           std::to_string(h->sum()) + "\n";
+           value(h->sum(), h->scale()) + "\n";
   }
   return out;
 }

@@ -229,7 +229,10 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
       if (c->value() == 0 || labels.empty()) continue;
       const std::string& cmd = labels.front().second;
       const Histogram* h = reg.FindHistogram("cmd_latency_us", labels);
-      const uint64_t usec = h == nullptr ? 0 : h->sum();
+      const double usec =
+          h == nullptr ? 0.0
+                       : static_cast<double>(h->sum()) /
+                             static_cast<double>(h->scale());
       char line[160];
       std::snprintf(line, sizeof(line),
                     "cmdstat_%s:calls=%llu,usec=%llu,usec_per_call=%.2f\r\n",
@@ -238,8 +241,7 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
                     static_cast<unsigned long long>(usec),
                     c->value() == 0
                         ? 0.0
-                        : static_cast<double>(usec) /
-                              static_cast<double>(c->value()));
+                        : usec / static_cast<double>(c->value()));
       out += line;
     }
   }
@@ -247,14 +249,15 @@ Value CmdInfo(Engine& e, const Argv& argv, ExecContext& ctx) {
     out += "# Latencystats\r\n";
     for (const auto& [labels, h] : reg.HistogramSeries("cmd_latency_us")) {
       if (h->count() == 0 || labels.empty()) continue;
+      const double scale = static_cast<double>(h->scale());
       char line[160];
       std::snprintf(line, sizeof(line),
-                    "latency_percentiles_usec_%s:p50=%llu,p99=%llu,"
-                    "p99.9=%llu\r\n",
+                    "latency_percentiles_usec_%s:p50=%.3f,p99=%.3f,"
+                    "p99.9=%.3f\r\n",
                     LowerName(labels.front().second).c_str(),
-                    static_cast<unsigned long long>(h->Percentile(0.50)),
-                    static_cast<unsigned long long>(h->Percentile(0.99)),
-                    static_cast<unsigned long long>(h->Percentile(0.999)));
+                    static_cast<double>(h->Percentile(0.50)) / scale,
+                    static_cast<double>(h->Percentile(0.99)) / scale,
+                    static_cast<double>(h->Percentile(0.999)) / scale);
       out += line;
     }
   }

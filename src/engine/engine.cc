@@ -133,7 +133,12 @@ void Engine::Touch(const std::string& key, ExecContext& ctx) {
 
 resp::Value Engine::Execute(const Argv& argv, ExecContext* ctx) {
   if (argv.empty()) return resp::Value::Error("ERR empty command");
-  const CommandSpec* spec = FindCommand(argv[0]);
+  return Execute(FindCommand(argv[0]), argv, ctx);
+}
+
+resp::Value Engine::Execute(const CommandSpec* spec, const Argv& argv,
+                            ExecContext* ctx) {
+  if (argv.empty()) return resp::Value::Error("ERR empty command");
   if (spec == nullptr) {
     return resp::Value::Error("ERR unknown command '" + argv[0] + "'");
   }

@@ -125,6 +125,10 @@ class Engine {
 
   // Executes one command. Fills ctx->effects / ctx->dirty_keys for writes.
   resp::Value Execute(const Argv& argv, ExecContext* ctx);
+  // Same, with argv[0]'s spec already resolved by FindCommand (nullptr for
+  // an unknown command), for callers that needed the spec first anyway.
+  resp::Value Execute(const CommandSpec* spec, const Argv& argv,
+                      ExecContext* ctx);
 
   // Convenience for replicas: applies one replicated effect command.
   resp::Value Apply(const Argv& argv, uint64_t now_ms);

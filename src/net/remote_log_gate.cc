@@ -5,10 +5,16 @@
 
 #include "common/coding.h"
 #include "common/crc.h"
+#include "rpc/frame.h"
 
 namespace memdb::net {
 
 namespace {
+
+// Payload bytes a batch may carry beyond its first record: a quarter of the
+// rpc frame cap, which leaves ample room for the per-record headers.
+constexpr size_t kMaxBatchBytes = rpc::kMaxFrameBytes / 4;
+
 uint64_t NowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -21,7 +27,14 @@ RemoteLogGate::RemoteLogGate(Options options, MetricsRegistry* registry)
     : options_(std::move(options)),
       running_checksum_(options_.checksum_seed) {
   if (registry != nullptr) {
-    appends_submitted_ = registry->GetCounter("txlog_gate_appends_total");
+    registry->SetHelp("txlog_gate_appends_total",
+                      "appends the gate sent to the log; one carries every "
+                      "write that queued behind the previous one");
+    registry->SetHelp("txlog_group_size",
+                      "log records per gate append (writes plus inline "
+                      "checksum records)");
+    appends_issued_ = registry->GetCounter("txlog_gate_appends_total");
+    group_size_ = registry->GetHistogram("txlog_group_size");
     appends_failed_ = registry->GetCounter("txlog_gate_append_failures_total");
     queue_depth_ = registry->GetGauge("txlog_gate_queue_depth");
     checksum_records_ = registry->GetCounter("txlog_checksum_records_total");
@@ -80,7 +93,6 @@ uint64_t RemoteLogGate::SubmitTyped(txlog::RecordType type,
                                     std::string payload, uint64_t trace_id) {
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_acq_rel);
-  if (appends_submitted_ != nullptr) appends_submitted_->Increment();
   loop_.Post([this, seq, type, trace_id,
               payload = std::move(payload)]() mutable {
     PendingAppend p;
@@ -106,7 +118,7 @@ std::vector<RemoteLogGate::Completion> RemoteLogGate::DrainCompletions() {
 
 void RemoteLogGate::Pump() {
   loop_.AssertOnLoopThread();
-  if (append_inflight_ || queue_.empty()) return;
+  if (!inflight_.empty() || queue_.empty()) return;
   if (options_.fence) {
     if (fenced_.load(std::memory_order_acquire)) {
       EnterFenced();  // drains whatever queued after the fence landed
@@ -114,61 +126,82 @@ void RemoteLogGate::Pump() {
     }
     if (!prev_known_) return;  // ResolveChain() re-pumps once learned
   }
-  PendingAppend p = std::move(queue_.front());
-  queue_.pop_front();
-  if (queue_depth_ != nullptr) {
-    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  }
-  append_inflight_ = true;
-
-  txlog::LogRecord record;
-  record.type = p.internal ? txlog::RecordType::kChecksum : p.type;
-  record.writer = options_.writer_id;
-  record.request_id = 0;  // stamped by RemoteClient; stable across retries
-  record.trace_id = p.trace_id;
-  record.payload = std::move(p.payload);
-  if (!p.internal && p.type == txlog::RecordType::kData) {
-    // Advance the chain in submission order (== log order; serialized).
-    running_checksum_ = Crc64(running_checksum_, Slice(record.payload));
-    if (options_.checksum_every > 0 &&
+  // Group commit: everything that queued while the last append was on the
+  // wire leaves as one batch, each item still its own log record. The
+  // batch always takes one item; the caps only bound how many follow it.
+  const uint64_t now_us =
+      options_.trace != nullptr ? NowUs() : 0;  // one clock read per batch
+  size_t bytes = 0;
+  while (!queue_.empty() &&
+         inflight_records_.size() + 2 <= txlog::wire::kMaxAppendRecords &&
+         (inflight_records_.empty() ||
+          bytes + queue_.front().payload.size() <= kMaxBatchBytes)) {
+    PendingAppend p = std::move(queue_.front());
+    queue_.pop_front();
+    bytes += p.payload.size();
+    if (options_.trace != nullptr && p.trace_id != 0) {
+      // The span between gate.submit and gate.append.issue is the wait for
+      // the append ahead of this one, which this batch now shares.
+      options_.trace->Record(p.trace_id, "gate.append.issue", now_us, p.seq);
+    }
+    txlog::LogRecord record;
+    record.type = p.type;
+    record.writer = options_.writer_id;
+    record.trace_id = p.trace_id;
+    record.payload = std::move(p.payload);
+    const bool data = p.type == txlog::RecordType::kData;
+    if (data) {
+      // Advance the chain in submission order, which is log order.
+      running_checksum_ = Crc64(running_checksum_, Slice(record.payload));
+    }
+    inflight_.push_back({p.seq, /*internal=*/false});
+    inflight_records_.push_back(std::move(record));
+    if (data && options_.checksum_every > 0 &&
         ++data_since_checksum_ >= options_.checksum_every) {
       data_since_checksum_ = 0;
-      // The checksum record must land right after the data it covers:
-      // front of the queue, behind only the append going out now.
-      PendingAppend chk;
-      chk.internal = true;
+      // The checksum record lands right after the data it covers: next in
+      // the same batch, so at the next log index.
+      txlog::LogRecord chk;
+      chk.type = txlog::RecordType::kChecksum;
+      chk.writer = options_.writer_id;
       PutFixed64(&chk.payload, running_checksum_);
-      queue_.push_front(std::move(chk));
+      inflight_.push_back({0, /*internal=*/true});
+      inflight_records_.push_back(std::move(chk));
       if (checksum_records_ != nullptr) checksum_records_->Increment();
     }
   }
-  const uint64_t seq = p.seq;
-  const bool internal = p.internal;
-  if (options_.trace != nullptr && record.trace_id != 0) {
-    // The span between gate.submit and gate.append.issue is the gate's
-    // serialization queue — the head-of-line wait group commit would batch.
-    options_.trace->Record(record.trace_id, "gate.append.issue", NowUs(), seq);
+  if (queue_depth_ != nullptr) {
+    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
-  inflight_seq_ = seq;
-  inflight_internal_ = internal;
-  if (options_.fence) inflight_record_ = record;  // kept for re-issue
-  const uint64_t prev =
-      options_.fence ? prev_index_ : txlog::wire::kUnconditional;
-  client_->Append(prev, std::move(record),
-                  [this, seq, internal](const Status& status, uint64_t index) {
-                    OnAppendDone(seq, internal, status, index);
-                  });
+  if (appends_issued_ != nullptr) appends_issued_->Increment();
+  if (group_size_ != nullptr) group_size_->Record(inflight_records_.size());
+  IssueInflight();
 }
 
-void RemoteLogGate::CompleteAppend(uint64_t seq, bool internal,
-                                   const Status& status, uint64_t index) {
+void RemoteLogGate::IssueInflight() {
   loop_.AssertOnLoopThread();
-  if (internal) return;  // checksum records are invisible to completions
+  // The kept records carry no request ids: RemoteClient stamps fresh ones
+  // on each issue and reuses them across that issue's own retries. A
+  // re-issue follows a determinate "not appended", so fresh ids keep the
+  // dedup table clean.
+  const uint64_t prev =
+      options_.fence ? prev_index_ : txlog::wire::kUnconditional;
+  client_->AppendBatch(
+      prev, inflight_records_,
+      [this](const Status& status, uint64_t first, size_t count) {
+        OnAppendDone(status, first, count);
+      });
+}
+
+void RemoteLogGate::CompleteAppend(const Member& m, const Status& status,
+                                   uint64_t index) {
+  loop_.AssertOnLoopThread();
+  if (m.internal) return;  // checksum records are invisible to completions
   if (!status.ok() && appends_failed_ != nullptr) appends_failed_->Increment();
   {
     MutexLock lock(&done_mu_);
     Completion c;
-    c.seq = seq;
+    c.seq = m.seq;
     c.status = status;
     c.index = index;
     done_.push_back(std::move(c));
@@ -177,8 +210,17 @@ void RemoteLogGate::CompleteAppend(uint64_t seq, bool internal,
   if (on_complete_) on_complete_();
 }
 
-void RemoteLogGate::OnAppendDone(uint64_t seq, bool internal,
-                                 const Status& status, uint64_t index) {
+void RemoteLogGate::FailInflight(const Status& status) {
+  loop_.AssertOnLoopThread();
+  // A failed checksum record just thins the chain; the value travels in
+  // the payload, so consumers stay consistent either way.
+  for (const Member& m : inflight_) CompleteAppend(m, status, 0);
+  inflight_.clear();
+  inflight_records_.clear();
+}
+
+void RemoteLogGate::OnAppendDone(const Status& status, uint64_t first,
+                                 size_t count) {
   loop_.AssertOnLoopThread();
   if (options_.fence && !status.ok() &&
       !stopping_.load(std::memory_order_acquire)) {
@@ -186,46 +228,47 @@ void RemoteLogGate::OnAppendDone(uint64_t seq, bool internal,
       // Determinate: nothing was appended — the tail moved past our chain
       // position. The gap decides: a foreign record fences us; benign
       // movement (kNoop barriers, our own lease renewals) re-chains and
-      // re-issues this same append. append_inflight_ stays true throughout.
+      // re-issues this same batch. It stays in flight throughout.
       ResolveChain(/*scan_gap=*/true, /*reissue_after=*/true);
       return;
     }
-    // Indeterminate (timeout after retries) or unavailable: the record may
+    // Indeterminate (timeout after retries) or unavailable: the batch may
     // or may not have landed, so the chain position is lost. Report the
-    // failure (the server fails that client), then re-learn the tail WITH
+    // failure (the server fails those clients), then re-learn the tail WITH
     // a gap scan — a foreign grant could hide in the unobserved window.
-    append_inflight_ = false;
     prev_known_ = false;
-    CompleteAppend(seq, internal, status, index);
+    FailInflight(status);
     ResolveChain(/*scan_gap=*/true, /*reissue_after=*/false);
     return;
   }
-  append_inflight_ = false;
-  if (options_.fence && status.ok()) prev_index_ = index;
-  if (internal) {
-    // A failed checksum append just thins the chain; the value travels in
-    // the payload, so consumers stay consistent either way.
+  if (!status.ok()) {
+    FailInflight(status);
     Pump();
     return;
   }
-  CompleteAppend(seq, internal, status, index);
+  // Member i committed at first + i.
+  for (size_t i = 0; i < count; ++i) {
+    CompleteAppend(inflight_[i], Status::OK(), first + i);
+  }
+  if (options_.fence) prev_index_ = first + count - 1;
+  if (count < inflight_.size()) {
+    // A retry met a new leader that holds only a prefix of this batch; the
+    // rest determinately did not append. Send the rest again — its checksum
+    // was folded when it first left the queue, and must not be re-folded.
+    inflight_.erase(inflight_.begin(), inflight_.begin() + count);
+    inflight_records_.erase(inflight_records_.begin(),
+                            inflight_records_.begin() + count);
+    if (options_.fence) {
+      // The new leader's barrier sits between the prefix and the rest.
+      ResolveChain(/*scan_gap=*/true, /*reissue_after=*/true);
+    } else {
+      IssueInflight();
+    }
+    return;
+  }
+  inflight_.clear();
+  inflight_records_.clear();
   Pump();
-}
-
-void RemoteLogGate::ReissueInflight() {
-  loop_.AssertOnLoopThread();
-  if (stopping_.load(std::memory_order_acquire)) return;
-  // The rejected attempt determinately did not append; a fresh request id
-  // keeps the dedup table clean. The running checksum must NOT re-advance —
-  // this record's payload was folded in when it first left the queue.
-  txlog::LogRecord record = inflight_record_;
-  record.request_id = 0;
-  const uint64_t seq = inflight_seq_;
-  const bool internal = inflight_internal_;
-  client_->Append(prev_index_, std::move(record),
-                  [this, seq, internal](const Status& status, uint64_t index) {
-                    OnAppendDone(seq, internal, status, index);
-                  });
 }
 
 bool RemoteLogGate::ForeignRecord(const txlog::LogEntry& entry) const {
@@ -338,7 +381,7 @@ void RemoteLogGate::ResolveChain(bool scan_gap, bool reissue_after) {
       prev_index_ = tail;
       prev_known_ = true;
       if (reissue_after) {
-        ReissueInflight();
+        IssueInflight();
       } else {
         Pump();
       }
@@ -356,14 +399,10 @@ void RemoteLogGate::EnterFenced() {
   fenced_.store(true, std::memory_order_release);
   const Status fenced =
       Status::ConditionFailed("fenced: this writer lost the shard lease");
-  if (append_inflight_) {
-    append_inflight_ = false;
-    CompleteAppend(inflight_seq_, inflight_internal_, fenced, 0);
-  }
+  FailInflight(fenced);
   while (!queue_.empty()) {
-    PendingAppend p = std::move(queue_.front());
+    CompleteAppend({queue_.front().seq, /*internal=*/false}, fenced, 0);
     queue_.pop_front();
-    CompleteAppend(p.seq, p.internal, fenced, 0);
   }
   if (queue_depth_ != nullptr) queue_depth_->Set(0);
 }

@@ -1,15 +1,20 @@
 // RemoteLogGate: connects the RESP front end to an out-of-process
 // transaction-log group (memorydb-txlogd processes) — the real-socket
 // version of the §3.1/§3.2 durability gate. The RespServer submits one
-// append per write batch and parks the client's reply; the gate reports
+// record per write and parks the client's reply; the gate reports
 // completions (commit or terminal failure) back to the server loop, which
 // releases the parked replies in order.
 //
-// Ordering: appends are strictly serialized — one in flight at a time, in
-// submission order — so the log's entry order equals local execution order
-// and completions arrive in batch-seq order. Retries, leader redirects,
-// and (writer, request_id) dedup live inside txlog::RemoteClient; the gate
-// sees each append complete exactly once.
+// Group commit: one append is in flight at a time, and it carries every
+// record that queued while the previous one was on the wire — one rpc, one
+// log persist (write + fsync) and one replication round for the whole
+// batch. Batching adapts to load with no timer: an idle gate sends a lone
+// record at once, a busy one sends whatever waited. Each write stays its
+// own log record (its own index, request id and trace id), so log order
+// equals local execution order and completions arrive in batch-seq order.
+// Retries, leader redirects, and per-record (writer, request_id) dedup live
+// inside txlog::RemoteClient; the gate sees each record complete exactly
+// once.
 //
 // Threading: SubmitAppend/DrainCompletions are called from the RespServer
 // loop thread; the append machinery runs on the gate's own rpc::LoopThread;
@@ -62,7 +67,7 @@ class RemoteLogGate {
     // election barriers, this writer's own lease renewals) re-chains and
     // retries; a foreign writer's record — another primary's data append or
     // a lease grant to a different owner — means this node lost the shard
-    // lease, and the gate goes terminally fenced: the in-flight append and
+    // lease, and the gate goes terminally fenced: the in-flight batch and
     // everything queued fail with ConditionFailed, and the embedding server
     // demotes. Off (default) preserves the pre-failover unconditional path.
     bool fence = false;
@@ -99,7 +104,7 @@ class RemoteLogGate {
   uint64_t SubmitAppend(std::string payload, uint64_t trace_id);
 
   // Thread-safe. Like SubmitAppend but with an explicit record type — used
-  // for kSlotOwnership flips (§5): the append rides the same serialized,
+  // for kSlotOwnership flips (§5): the record rides the same ordered,
   // fenced chain as data, so a committed completion proves this writer
   // still held the shard lease when the flip landed. Non-data records do
   // not advance the §7.2.1 checksum chain (replicas skip them too).
@@ -134,32 +139,39 @@ class RemoteLogGate {
     uint64_t trace_id = 0;
     std::string payload;
     txlog::RecordType type = txlog::RecordType::kData;
+  };
+  // One record of the batch on the wire.
+  struct Member {
+    uint64_t seq = 0;
     // Gate-internal kChecksum record: invisible to SubmitAppend accounting
     // and never reported as a completion.
     bool internal = false;
   };
 
   // Gate-loop-thread only (loop_.AssertOnLoopThread() on entry).
+  // Moves the whole queue (up to the batch caps) into one append.
   void Pump();
-  void OnAppendDone(uint64_t seq, bool internal, const Status& status,
-                    uint64_t index);
+  // Sends the in-flight batch, at prev_index_ in fence mode.
+  void IssueInflight();
+  // Member i of the batch committed at first + i, for i < count.
+  void OnAppendDone(const Status& status, uint64_t first, size_t count);
   void ScheduleTailPoll();
   // Fence machinery (gate-loop thread): (re)learn the chain position from
   // txlog.Tail; scan_gap additionally classifies (prev, tail] — required
   // whenever the tail moved while this writer wasn't looking (a stale
   // precondition, or an indeterminate append). Scans wait for the commit
   // index to catch the tail first, so a mid-commit foreign grant cannot be
-  // chained past. reissue_after re-sends the still-in-flight record once
+  // chained past. reissue_after re-sends the still-in-flight batch once
   // the chain is re-learned (ConditionFailed path); otherwise Pump resumes.
   void ResolveChain(bool scan_gap, bool reissue_after);
   // Classify [from, tail]; benign -> on_benign(), foreign -> EnterFenced().
   void ScanGap(uint64_t from, uint64_t tail, std::function<void()> on_benign);
   bool ForeignRecord(const txlog::LogEntry& entry) const;
-  // Terminal: fail the in-flight append (if any) and everything queued.
+  // Terminal: fail the in-flight batch (if any) and everything queued.
   void EnterFenced();
-  void CompleteAppend(uint64_t seq, bool internal, const Status& status,
-                      uint64_t index);
-  void ReissueInflight();
+  void CompleteAppend(const Member& m, const Status& status, uint64_t index);
+  // Completes every in-flight member with `status` and clears the batch.
+  void FailInflight(const Status& status);
 
   Options options_;
   rpc::LoopThread loop_;
@@ -167,7 +179,8 @@ class RemoteLogGate {
   std::function<void()> on_complete_;
   bool started_ = false;
 
-  Counter* appends_submitted_ = nullptr;
+  Counter* appends_issued_ = nullptr;
+  Histogram* group_size_ = nullptr;
   Counter* appends_failed_ = nullptr;
   Gauge* queue_depth_ = nullptr;
   Counter* checksum_records_ = nullptr;
@@ -176,18 +189,17 @@ class RemoteLogGate {
 
   // Gate-loop-thread state (thread-affine, no lock; see Pump/OnAppendDone).
   std::deque<PendingAppend> queue_;
-  bool append_inflight_ = false;
+  // The batch on the wire (empty: none). Its records are kept, without
+  // request ids, for a re-issue after a benign race or a prefix ack.
+  std::vector<Member> inflight_;
+  std::vector<txlog::LogRecord> inflight_records_;
   // --- fence-mode chain state (gate-loop thread) ---------------------------
   bool prev_known_ = false;    // chain position learned from txlog.Tail
   uint64_t prev_index_ = 0;    // last index this writer observed/appended
-  // Copy of the record on the wire, for re-issue after a benign race.
-  txlog::LogRecord inflight_record_;
-  uint64_t inflight_seq_ = 0;
-  bool inflight_internal_ = false;
   std::atomic<bool> fenced_{false};
   std::atomic<uint64_t> fenced_by_{0};
   // Running CRC64 over data payloads in submission order — which equals log
-  // order, because appends are strictly serialized.
+  // order: one batch is in flight at a time, and it keeps queue order.
   uint64_t running_checksum_ = 0;
   uint64_t data_since_checksum_ = 0;
   std::atomic<bool> stopping_{false};

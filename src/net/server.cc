@@ -637,8 +637,15 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
   std::string encoded;
   for (const std::vector<std::string>& argv : c->pending()) {
     if (c->state() != Connection::State::kOpen) break;
-    const std::string name =
-        argv.empty() ? std::string() : engine::Engine::Upper(argv[0]);
+    // One table lookup per command. The table's names are upper case; only
+    // names it lacks (the admin plane's, unknown ones) are upper-cased here.
+    const engine::CommandSpec* spec =
+        argv.empty() ? nullptr : engine_->FindCommand(argv[0]);
+    std::string unlisted;
+    if (spec == nullptr && !argv.empty()) {
+      unlisted = engine::Engine::Upper(argv[0]);
+    }
+    const std::string& name = spec != nullptr ? spec->name : unlisted;
     if (name == "QUIT") {
       c->QueueOutput("+OK\r\n");
       c->set_state(Connection::State::kClosing);
@@ -671,7 +678,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
     const bool asking = c->asking;
     c->asking = false;
     if (slot_table_ != nullptr &&
-        RouteClusterCommand(c, engine_->FindCommand(name), argv, asking)) {
+        RouteClusterCommand(c, spec, argv, asking)) {
       continue;
     }
     if (role_ != ServerRole::kPrimary) {
@@ -683,8 +690,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
         c->QueueOutput(":0\r\n");
         continue;
       }
-      const engine::CommandSpec* wspec = engine_->FindCommand(name);
-      if (wspec != nullptr && wspec->is_write) {
+      if (spec != nullptr && spec->is_write) {
         // A promoting node must refuse writes until replay reaches the
         // fenced tail — acking before that could order a new write ahead
         // of an old acked one it hasn't applied yet.
@@ -705,8 +711,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       // it still holds the lease), a data read here could be stale the
       // moment a successor is granted the lease — refuse it. Writes stay
       // allowed: they are fenced by the conditional append chain itself.
-      const engine::CommandSpec* rspec = engine_->FindCommand(name);
-      if (rspec != nullptr && !rspec->is_write && rspec->first_key > 0) {
+      if (spec != nullptr && !spec->is_write && spec->first_key > 0) {
         c->QueueOutput(
             "-READONLY Lease expired; this node cannot serve linearizable "
             "reads until it renews.\r\n");
@@ -743,17 +748,16 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       continue;
     }
 
-    const engine::CommandSpec* spec =
-        argv.empty() ? nullptr : engine_->FindCommand(argv[0]);
     const auto t0 = std::chrono::steady_clock::now();
-    const resp::Value reply = engine_->Execute(argv, &ctx);
+    const resp::Value reply = engine_->Execute(spec, argv, &ctx);
     if (spec != nullptr) {
       Histogram*& h = latency_cache_[spec];
       if (h == nullptr) {
         h = metrics_.GetHistogram("cmd_latency_us", {{"cmd", spec->name}});
+        h->set_scale(1000);  // fed in ns: a GET or SET takes under 1 µs
       }
       h->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
     }

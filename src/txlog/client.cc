@@ -41,7 +41,7 @@ void TxLogClient::AppendAttempt(uint64_t prev_index, const LogRecord& record,
   }
   wire::ClientAppendRequest req;
   req.prev_index = prev_index;
-  req.record = record;
+  req.records.push_back(record);
   const NodeId target = PickTarget();
   owner_->Rpc(
       target, wire::kClientAppend, req.Encode(), options_.rpc_timeout,

@@ -310,19 +310,20 @@ void RaftReplica::MaybeAckClients() {
     }
     wire::ClientAppendResponse resp;
     resp.result = wire::ClientResult::kOk;
-    resp.index = it->first;
+    resp.index = it->second.first_index;
+    resp.count = it->first - it->second.first_index + 1;
     resp.leader_hint = id();
-    Reply(it->second, resp.Encode());
+    Reply(it->second.request, resp.Encode());
     pending_appends_.erase(it);
   }
 }
 
 void RaftReplica::FailPendingAppends(const Status& status) {
-  for (auto& [index, msg] : pending_appends_) {
+  for (auto& [index, pending] : pending_appends_) {
     wire::ClientAppendResponse resp;
     resp.result = wire::ClientResult::kUnavailable;
     resp.leader_hint = leader_hint_;
-    Reply(msg, resp.Encode());
+    Reply(pending.request, resp.Encode());
   }
   pending_appends_.clear();
   append_received_at_.clear();
@@ -438,11 +439,16 @@ void RaftReplica::HandleClientAppend(const Message& m) {
     return;
   }
   client_appends_->Increment();
-  const uint64_t trace_id = req.record.trace_id;
-  AppendToLocalLog(std::move(req.record));
-  trace_.Record(trace_id, "log.append.receive", Now(), last_index());
+  // A batch appends every record, at contiguous indexes, and is acked once
+  // its last record commits.
+  const uint64_t first = last_index() + 1;
+  for (LogRecord& record : req.records) {
+    const uint64_t trace_id = record.trace_id;
+    AppendToLocalLog(std::move(record));
+    trace_.Record(trace_id, "log.append.receive", Now(), last_index());
+  }
   append_received_at_[last_index()] = Now();
-  pending_appends_.emplace(last_index(), m);
+  pending_appends_.emplace(last_index(), PendingAppend{m, first});
   BroadcastAppendEntries();
 }
 

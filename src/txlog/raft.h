@@ -127,8 +127,12 @@ class RaftReplica : public sim::Actor {
   std::map<sim::NodeId, uint64_t> next_index_;
   std::map<sim::NodeId, uint64_t> match_index_;
   std::map<sim::NodeId, bool> append_inflight_;
-  // Client appends awaiting commitment: index -> request message.
-  std::map<uint64_t, sim::Message> pending_appends_;
+  // Client appends awaiting commitment, keyed by the request's last index.
+  struct PendingAppend {
+    sim::Message request;
+    uint64_t first_index = 0;  // a batch's records sit at [first, key]
+  };
+  std::map<uint64_t, PendingAppend> pending_appends_;
   // Index of the no-op barrier this leader appended at election; client
   // appends are deferred with Unavailable until it commits.
   uint64_t barrier_index_ = 0;

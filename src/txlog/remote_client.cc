@@ -160,36 +160,41 @@ void RemoteClient::RetryLater(std::shared_ptr<LeaderOp> op) {
   });
 }
 
-void RemoteClient::Append(uint64_t prev_index, LogRecord record,
-                          AppendCallback cb) {
+void RemoteClient::AppendBatch(uint64_t prev_index,
+                               std::vector<LogRecord> records,
+                               AppendBatchCallback cb) {
   // Stamp identity once; every retry reuses it, which is what lets the
   // daemon's (writer, request_id) dedup collapse duplicates.
-  if (record.writer == 0) record.writer = options_.writer_id;
-  if (record.request_id == 0) record.request_id = NextRequestId();
-
   wire::ClientAppendRequest req;
   req.prev_index = prev_index;
-  req.record = std::move(record);
+  req.records = std::move(records);
+  for (LogRecord& record : req.records) {
+    if (record.writer == 0) record.writer = options_.writer_id;
+    if (record.request_id == 0) record.request_id = NextRequestId();
+  }
 
   auto op = std::make_shared<LeaderOp>();
   op->method = rpcwire::kAppend;
-  op->trace_id = req.record.trace_id;
+  op->trace_id = req.records.empty() ? 0 : req.records.front().trace_id;
   op->body = req.Encode();
   op->timeout_ms = options_.rpc_timeout_ms;
   op->attempts_left = options_.max_attempts;
   op->redirects_left = options_.max_redirects;
-  op->handle = [cb](const std::string& payload, uint64_t* hint) {
+  const size_t n = req.records.size();
+  op->handle = [cb, n](const std::string& payload, uint64_t* hint) {
     wire::ClientAppendResponse resp;
-    if (!wire::ClientAppendResponse::Decode(Slice(payload), &resp)) {
-      cb(Status::Corruption("bad append response"), 0);
+    if (!wire::ClientAppendResponse::Decode(Slice(payload), &resp) ||
+        (resp.result == wire::ClientResult::kOk &&
+         (resp.count == 0 || resp.count > n))) {
+      cb(Status::Corruption("bad append response"), 0, 0);
       return true;
     }
     switch (resp.result) {
       case wire::ClientResult::kOk:
-        cb(Status::OK(), resp.index);
+        cb(Status::OK(), resp.index, static_cast<size_t>(resp.count));
         return true;
       case wire::ClientResult::kConditionFailed:
-        cb(Status::ConditionFailed("log tail moved"), resp.index);
+        cb(Status::ConditionFailed("log tail moved"), resp.index, 0);
         return true;
       case wire::ClientResult::kNotLeader:
         *hint = static_cast<uint64_t>(resp.leader_hint);
@@ -199,10 +204,20 @@ void RemoteClient::Append(uint64_t prev_index, LogRecord record,
     }
     return false;
   };
-  op->fail = [cb](const Status& s) { cb(s, 0); };
+  op->fail = [cb](const Status& s) { cb(s, 0, 0); };
   loop_->Post([this, op = std::move(op)]() mutable {
     StartLeaderOp(std::move(op));
   });
+}
+
+void RemoteClient::Append(uint64_t prev_index, LogRecord record,
+                          AppendCallback cb) {
+  std::vector<LogRecord> records;
+  records.push_back(std::move(record));
+  AppendBatch(prev_index, std::move(records),
+              [cb = std::move(cb)](const Status& s, uint64_t index, size_t) {
+                cb(s, index);
+              });
 }
 
 void RemoteClient::Tail(TailCallback cb) {

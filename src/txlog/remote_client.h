@@ -2,7 +2,8 @@
 // transaction-log group (a set of memorydb-txlogd endpoints), speaking the
 // rpc frame protocol. It mirrors TxLogClient's contract over real sockets:
 //
-//   OK               -> entry committed at `index`
+//   OK               -> entry committed at `index` (a batch: its first
+//                       `count` records committed at index, index + 1, ...)
 //   ConditionFailed  -> precondition stale; `index` holds the actual tail
 //   Unavailable      -> determinate failure (entry NOT appended)
 //   TimedOut         -> INDETERMINATE after retries: the entry may or may
@@ -17,9 +18,9 @@
 //     scaled by uniform [0.5, 1.0), so a fleet of retrying nodes doesn't
 //     thundering-herd a recovering leader.
 //   * idempotent retries — every attempt of one Append carries the same
-//     (writer, request_id); the daemon's dedup table maps a retried append
-//     whose first ack was lost back to the original log index, so retries
-//     can never double-commit.
+//     (writer, request_id) per record, stamped once; the daemon's dedup
+//     table maps a retried append whose first ack was lost back to the
+//     original log indexes, so retries can never double-commit.
 //
 // Async callbacks run on the client's LoopThread; *Sync wrappers block the
 // calling thread (never call them from the loop thread).
@@ -49,6 +50,11 @@ namespace memdb::txlog {
 class RemoteClient {
  public:
   using AppendCallback = std::function<void(const Status&, uint64_t index)>;
+  // OK: the first `count` records committed at first_index onward. count is
+  // the whole batch unless a retry found a new leader holding only a prefix
+  // of it; the rest then determinately did not append.
+  using AppendBatchCallback =
+      std::function<void(const Status&, uint64_t first_index, size_t count)>;
   using ReadCallback =
       std::function<void(const Status&, const wire::ClientReadResponse&)>;
   using TailCallback =
@@ -86,6 +92,11 @@ class RemoteClient {
   void Shutdown();
 
   // --- async API (callbacks on the loop thread) ----------------------------
+  // Appends 1..wire::kMaxAppendRecords records at contiguous indexes under
+  // one precondition, as one request.
+  void AppendBatch(uint64_t prev_index, std::vector<LogRecord> records,
+                   AppendBatchCallback cb);
+  // A one-record AppendBatch.
   void Append(uint64_t prev_index, LogRecord record, AppendCallback cb);
   void Read(uint64_t from_index, uint64_t max_count, uint64_t wait_ms,
             ReadCallback cb);

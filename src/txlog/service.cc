@@ -218,6 +218,12 @@ void LogService::DedupInsert(uint64_t writer, uint64_t request_id,
   dedup_entries_gauge_->Set(static_cast<int64_t>(dedup_.size()));
 }
 
+uint64_t LogService::DedupLookup(const LogRecord& record) const {
+  if (record.writer == 0 || record.request_id == 0) return 0;
+  const auto it = dedup_.find({record.writer, record.request_id});
+  return it == dedup_.end() ? 0 : it->second;
+}
+
 void LogService::TruncatePrefixTo(uint64_t new_base) {
   loop_.AssertOnLoopThread();
   if (new_base <= base_index_) return;
@@ -363,7 +369,7 @@ void LogService::BecomeLeader() {
   // every entry from earlier terms that could have committed is committed.
   LogRecord barrier;
   barrier.type = RecordType::kNoop;
-  AppendToLocalLog(std::move(barrier));
+  AppendToLocalLog({std::move(barrier)});
   barrier_index_ = last_index();
   AdvanceCommitIndex();
   BroadcastAppendEntries();
@@ -377,22 +383,53 @@ void LogService::HeartbeatTick() {
       loop_.After(options_.heartbeat_ms, [this] { HeartbeatTick(); });
 }
 
-void LogService::AppendToLocalLog(LogRecord record) {
+void LogService::AppendToLocalLog(std::vector<LogRecord> records) {
   loop_.AssertOnLoopThread();
-  LogEntry entry;
-  entry.term = current_term_;
-  entry.index = last_index() + 1;
-  entry.record = std::move(record);
-  const uint64_t trace_id = entry.record.trace_id;
-  if (entry.record.writer != 0 || entry.record.request_id != 0) {
-    DedupInsert(entry.record.writer, entry.record.request_id, entry.index);
+  const uint64_t first = last_index() + 1;
+  for (LogRecord& record : records) {
+    LogEntry entry;
+    entry.term = current_term_;
+    entry.index = last_index() + 1;
+    entry.record = std::move(record);
+    if (entry.record.writer != 0 || entry.record.request_id != 0) {
+      DedupInsert(entry.record.writer, entry.record.request_id, entry.index);
+    }
+    log_.push_back(std::move(entry));
   }
-  log_.push_back(std::move(entry));
-  PersistLogSuffix(last_index());
+  PersistLogSuffix(first);
   durable_index_ = last_index();
-  if (trace_id != 0) {
-    trace_.Record(trace_id, "log.durable.local", NowUs(), durable_index_);
+  const uint64_t now_us = NowUs();
+  for (uint64_t i = first; i <= durable_index_; ++i) {
+    const uint64_t trace_id = EntryAt(i)->record.trace_id;
+    if (trace_id != 0) trace_.Record(trace_id, "log.durable.local", now_us, i);
   }
+}
+
+void LogService::AckAppend(
+    uint64_t first, uint64_t count,
+    std::function<void(const wire::ClientAppendResponse&)> reply) {
+  loop_.AssertOnLoopThread();
+  auto answer = [this, first, count, reply = std::move(reply)](bool committed) {
+    wire::ClientAppendResponse r;
+    if (committed) {
+      r.result = wire::ClientResult::kOk;
+      r.index = first;
+      r.count = count;
+    } else {
+      r.result = wire::ClientResult::kNotLeader;
+      r.leader_hint = static_cast<sim::NodeId>(leader_hint_);
+    }
+    reply(r);
+  };
+  const uint64_t last = first + count - 1;
+  if (last <= commit_index_) {
+    answer(true);
+    return;
+  }
+  pending_acks_[last].push_back(
+      [answer = std::move(answer)](bool committed, uint64_t) {
+        answer(committed);
+      });
 }
 
 void LogService::BroadcastAppendEntries() {
@@ -460,14 +497,27 @@ void LogService::AdvanceCommitIndex() {
   // Only entries of the current term commit by counting (Raft §5.4.2);
   // earlier-term entries commit transitively.
   if (candidate > commit_index_ && TermAt(candidate) == current_term_) {
+    const uint64_t prev_commit = commit_index_;
     commit_index_ = candidate;
     commit_atomic_.store(commit_index_, std::memory_order_release);
-    OnCommitAdvanced();
+    OnCommitAdvanced(prev_commit);
   }
 }
 
-void LogService::OnCommitAdvanced() {
+void LogService::OnCommitAdvanced(uint64_t prev_commit) {
   commit_gauge_->Set(static_cast<int64_t>(commit_index_));
+  if (role_ == Role::kLeader) {
+    // Each traced record this leader appended commits here, every member
+    // of a batch included, though the batch's one ack waits on its last.
+    const uint64_t now_us = NowUs();
+    for (uint64_t i = std::max(prev_commit, base_index_) + 1;
+         i <= commit_index_; ++i) {
+      const LogEntry* e = EntryAt(i);
+      if (e->record.trace_id != 0 && e->term == current_term_) {
+        trace_.Record(e->record.trace_id, "log.quorum.commit", now_us, i);
+      }
+    }
+  }
   // Ack quorum-committed client appends (leader only; no-op elsewhere).
   while (!pending_acks_.empty() &&
          pending_acks_.begin()->first <= commit_index_) {
@@ -478,10 +528,6 @@ void LogService::OnCommitAdvanced() {
     if (t0 != append_received_at_us_.end()) {
       commit_latency_->Record(NowUs() - t0->second);
       append_received_at_us_.erase(t0);
-    }
-    if (const LogEntry* e = EntryAt(index);
-        e != nullptr && e->record.trace_id != 0) {
-      trace_.Record(e->record.trace_id, "log.quorum.commit", NowUs(), index);
     }
     for (AckCallback& cb : cbs) cb(true, index);
   }
@@ -606,9 +652,10 @@ void LogService::HandleRaftAppendEntries(rpc::Server::Call&& call) {
 
   const uint64_t new_commit = std::min(req.commit_index, durable_index_);
   if (new_commit > commit_index_) {
+    const uint64_t prev_commit = commit_index_;
     commit_index_ = new_commit;
     commit_atomic_.store(commit_index_, std::memory_order_release);
-    OnCommitAdvanced();
+    OnCommitAdvanced(prev_commit);
   }
   resp.success = true;
   resp.match_index = durable_index_;
@@ -625,7 +672,7 @@ void LogService::HandleClientAppend(rpc::Server::Call&& call) {
     call.respond(rpc::Code::kBadRequest, std::string());
     return;
   }
-  auto reply = [respond = call.respond](wire::ClientAppendResponse r) {
+  auto reply = [respond = call.respond](const wire::ClientAppendResponse& r) {
     respond(rpc::Code::kOk, r.Encode());
   };
   wire::ClientAppendResponse resp;
@@ -636,35 +683,30 @@ void LogService::HandleClientAppend(rpc::Server::Call&& call) {
     return;
   }
 
-  // Idempotent retry: if this (writer, request_id) already entered the log,
-  // re-ack the original index instead of appending a duplicate. This is what
-  // makes a retried append after a dropped ack safe (§3.1).
-  const LogRecord& rec = req.record;
-  if (rec.writer != 0 && rec.request_id != 0) {
-    auto it = dedup_.find({rec.writer, rec.request_id});
-    if (it != dedup_.end()) {
-      dedup_hits_->Increment();
-      const uint64_t index = it->second;
-      if (index <= commit_index_) {
-        resp.result = wire::ClientResult::kOk;
-        resp.index = index;
-        reply(resp);
-      } else {
-        pending_acks_[index].push_back(
-            [this, reply](bool committed, uint64_t idx) {
-              wire::ClientAppendResponse r;
-              if (committed) {
-                r.result = wire::ClientResult::kOk;
-                r.index = idx;
-              } else {
-                r.result = wire::ClientResult::kNotLeader;
-                r.leader_hint = static_cast<sim::NodeId>(leader_hint_);
-              }
-              reply(r);
-            });
-      }
+  // Idempotent retry: records of this request that already entered the log
+  // are re-acked at their original indexes instead of appended twice. This
+  // is what makes a retried append after a dropped ack safe (§3.1). A batch
+  // enters the log whole, so a retry finds all of it — or, after a leader
+  // change, the prefix the new leader holds (AppendEntries may have carried
+  // only part of it, or a torn tail cut it). That prefix is acked alone
+  // (count < N) and the caller re-sends the rest.
+  const size_t n = req.records.size();
+  const uint64_t dup = DedupLookup(req.records[0]);
+  if (dup != 0) {
+    dedup_hits_->Increment();
+    size_t found = 1;
+    while (found < n && DedupLookup(req.records[found]) == dup + found) {
+      ++found;
+    }
+    if (found < n && commit_index_ < barrier_index_) {
+      // "The rest did not append" is only final once this leader's barrier
+      // commits: before that, an older leader's copy could still commit.
+      resp.result = wire::ClientResult::kUnavailable;
+      reply(resp);
       return;
     }
+    AckAppend(dup, found, std::move(reply));
+    return;
   }
 
   if (commit_index_ < barrier_index_) {
@@ -680,24 +722,19 @@ void LogService::HandleClientAppend(rpc::Server::Call&& call) {
     return;
   }
 
-  if (rec.trace_id != 0) {
-    trace_.Record(rec.trace_id, "log.append.receive", NowUs(),
-                  last_index() + 1);
-  }
-  AppendToLocalLog(req.record);
-  const uint64_t index = last_index();
-  append_received_at_us_[index] = NowUs();
-  pending_acks_[index].push_back([this, reply](bool committed, uint64_t idx) {
-    wire::ClientAppendResponse r;
-    if (committed) {
-      r.result = wire::ClientResult::kOk;
-      r.index = idx;
-    } else {
-      r.result = wire::ClientResult::kNotLeader;
-      r.leader_hint = static_cast<sim::NodeId>(leader_hint_);
+  // The whole batch in one loop turn: one persist (write + fsync), one
+  // AppendEntries broadcast and one pending ack at its last index.
+  const uint64_t first = last_index() + 1;
+  const uint64_t now_us = NowUs();
+  for (size_t i = 0; i < n; ++i) {
+    if (req.records[i].trace_id != 0) {
+      trace_.Record(req.records[i].trace_id, "log.append.receive", now_us,
+                    first + i);
     }
-    reply(r);
-  });
+  }
+  AppendToLocalLog(std::move(req.records));
+  append_received_at_us_[last_index()] = now_us;
+  AckAppend(first, n, std::move(reply));
   AdvanceCommitIndex();  // single-replica groups commit immediately
   BroadcastAppendEntries();
 }
@@ -856,7 +893,7 @@ void LogService::HandleLease(rpc::Server::Call&& call, bool renew) {
   rec.trace_id = call.trace_id;
   rec.payload = grant.Encode();
   pending_leases_[req.shard_id] = {req.owner, now_ms + req.duration_ms};
-  AppendToLocalLog(std::move(rec));
+  AppendToLocalLog({std::move(rec)});
   const uint64_t index = last_index();
   append_received_at_us_[index] = NowUs();
   const uint64_t owner = req.owner;

@@ -127,6 +127,9 @@ class LogService {
   // committed and applied. Persists the new base and rewrites the log file.
   void TruncatePrefixTo(uint64_t new_base);
   void DedupInsert(uint64_t writer, uint64_t request_id, uint64_t index);
+  // Index at which `record`'s (writer, request_id) entered the log; 0 if it
+  // never did (or its dedup slot was evicted).
+  uint64_t DedupLookup(const LogRecord& record) const;
 
   void ResetElectionTimer();
   void BecomeFollower(uint64_t term);
@@ -134,11 +137,18 @@ class LogService {
   void BecomeLeader();
   void HeartbeatTick();
 
-  void AppendToLocalLog(LogRecord record);
+  // Appends `records` at contiguous indexes after last_index() and makes
+  // them durable in one PersistLogSuffix: one write and one fsync however
+  // many records the batch holds.
+  void AppendToLocalLog(std::vector<LogRecord> records);
+  // Answers a client append of `count` records at [first, first + count)
+  // once the last of them commits (NotLeader if it is truncated first).
+  void AckAppend(uint64_t first, uint64_t count,
+                 std::function<void(const wire::ClientAppendResponse&)> reply);
   void BroadcastAppendEntries();
   void SendAppendEntries(uint64_t peer);
   void AdvanceCommitIndex();
-  void OnCommitAdvanced();
+  void OnCommitAdvanced(uint64_t prev_commit);
   void FailPendingAppends();
 
   // --- message handlers (loop thread) --------------------------------------

@@ -105,6 +105,9 @@ struct AppendEntriesRequest {
       return false;
     }
     out->leader = static_cast<sim::NodeId>(leader);
+    // Every entry takes at least one byte: a larger count is malformed, and
+    // must not reach resize().
+    if (count > dec.Remaining()) return false;
     out->entries.resize(count);
     for (uint64_t i = 0; i < count; ++i) {
       if (!LogEntry::DecodeFrom(&dec, &out->entries[i])) return false;
@@ -140,40 +143,61 @@ struct AppendEntriesResponse {
 // Conditional append. prev_index == kUnconditional skips the CAS check.
 inline constexpr uint64_t kUnconditional = ~0ULL;
 
+// Records one append request may carry. A decode bound (a hostile frame of
+// minimal records must not expand into millions of objects) that also caps
+// a writer's batch.
+inline constexpr size_t kMaxAppendRecords = 4096;
+
+// A batch of 1..N records, appended at contiguous indexes under one
+// precondition. Wire form: prev_index, then the records back to back (each
+// one self-delimiting), so a one-record request encodes byte for byte as
+// the single-record format did.
 struct ClientAppendRequest {
   uint64_t prev_index = kUnconditional;
-  LogRecord record;
+  std::vector<LogRecord> records;
 
   std::string Encode() const {
     std::string out;
     PutVarint64(&out, prev_index);
-    record.EncodeTo(&out);
+    for (const LogRecord& r : records) r.EncodeTo(&out);
     return out;
   }
   static bool Decode(Slice data, ClientAppendRequest* out) {
     Decoder dec(data);
-    return dec.GetVarint64(&out->prev_index) &&
-           LogRecord::DecodeFrom(&dec, &out->record);
+    out->records.clear();
+    if (!dec.GetVarint64(&out->prev_index)) return false;
+    do {
+      if (out->records.size() >= kMaxAppendRecords) return false;
+      out->records.emplace_back();
+      if (!LogRecord::DecodeFrom(&dec, &out->records.back())) return false;
+    } while (!dec.Empty());
+    return true;
   }
 };
 
 struct ClientAppendResponse {
   ClientResult result = ClientResult::kUnavailable;
-  uint64_t index = 0;      // assigned index on kOk; current tail on CAS fail
+  // kOk: index of the request's first record; kConditionFailed: the tail.
+  uint64_t index = 0;
   sim::NodeId leader_hint = sim::kInvalidNode;
+  // kOk: records committed at index, index + 1, ... — the whole request, or
+  // on a retry of a batch that a new leader holds only in part, the prefix
+  // it holds (the rest determinately did not append).
+  uint64_t count = 1;
 
   std::string Encode() const {
     std::string out;
     PutVarint64(&out, static_cast<uint64_t>(result));
     PutVarint64(&out, index);
     PutVarint64(&out, leader_hint);
+    PutVarint64(&out, count);
     return out;
   }
   static bool Decode(Slice data, ClientAppendResponse* out) {
     Decoder dec(data);
     uint64_t r, hint;
     if (!dec.GetVarint64(&r) || !dec.GetVarint64(&out->index) ||
-        !dec.GetVarint64(&hint)) {
+        !dec.GetVarint64(&hint) || !dec.GetVarint64(&out->count)) {
       return false;
     }
     out->result = static_cast<ClientResult>(r);
@@ -217,7 +241,7 @@ struct ClientReadResponse {
   static bool Decode(Slice data, ClientReadResponse* out) {
     Decoder dec(data);
     uint64_t count;
-    if (!dec.GetVarint64(&count)) return false;
+    if (!dec.GetVarint64(&count) || count > dec.Remaining()) return false;
     out->entries.resize(count);
     for (uint64_t i = 0; i < count; ++i) {
       if (!LogEntry::DecodeFrom(&dec, &out->entries[i])) return false;

@@ -978,6 +978,66 @@ TEST(DedupBoundTest, TableStaysBoundedUnderManyWriters) {
 // still converge to the primary's post-eviction/post-expiry keyspace, and
 // so must a fresh node recovering via --restore from an off-box snapshot
 // plus the log tail.
+// Group commit keeps the §7.2.1 chain whole: writes pipelined behind a
+// held append leave in batches with their checksum records inline, and a
+// log-fed replica, like cold recovery, verifies every checksum record.
+TEST(ReplicaServerTest, VerifiesChecksumChainOverBatchedAppends) {
+  LogGroup group(3);
+  const int leader = group.WaitForLeader();
+  ASSERT_GE(leader, 0);
+
+  net::ServerConfig primary_cfg;
+  primary_cfg.port = 0;
+  primary_cfg.loop_timeout_ms = 10;
+  primary_cfg.txlog_endpoints = group.endpoints;
+  primary_cfg.txlog_checksum_every = 3;
+  engine::Engine primary_engine;
+  net::RespServer primary(&primary_engine, primary_cfg);
+  ASSERT_TRUE(primary.Start().ok());
+
+  net::ServerConfig replica_cfg;
+  replica_cfg.port = 0;
+  replica_cfg.loop_timeout_ms = 10;
+  replica_cfg.replica_of_log = group.endpoints;
+  replica_cfg.replica_poll_wait_ms = 50;
+  engine::Engine replica_engine;
+  net::RespServer replica(&replica_engine, replica_cfg);
+  ASSERT_TRUE(replica.Start().ok());
+
+  // Hold the first append's ack so the rest of the pipeline queues.
+  group.services[static_cast<size_t>(leader)]->fault().DelayResponses(
+      txlog::rpcwire::kAppend, 150, 1);
+  constexpr int kWrites = 30;
+  {
+    TestClient c(primary.port());
+    ASSERT_TRUE(c.ok());
+    for (int i = 1; i <= kWrites; ++i) {
+      ASSERT_TRUE(c.SendCommand(
+          {"SET", "b" + std::to_string(i), "v" + std::to_string(i)}));
+    }
+    const std::vector<Value> replies = c.ReadReplies(kWrites);
+    ASSERT_EQ(replies.size(), size_t{kWrites});
+    for (const Value& v : replies) EXPECT_EQ(v, Value::Simple("OK"));
+  }
+  const double appends = ServerMetric(primary.port(), "txlog_gate_appends_total");
+  EXPECT_LT(appends, kWrites / 2) << "the pipelined writes were not batched";
+  EXPECT_EQ(ServerMetric(primary.port(), "txlog_checksum_records_total"),
+            kWrites / 3);
+
+  ASSERT_TRUE(WaitForKey(replica.port(), "b30", "v30"));
+  EXPECT_EQ(ServerMetric(replica.port(), "repl_checksum_failures_total"), 0);
+  EXPECT_GE(ServerMetric(replica.port(), "repl_entries_applied_total"),
+            kWrites + kWrites / 3);
+
+  ClientFixture fx(group.endpoints);
+  engine::Engine eng;
+  replication::RestoreResult res;
+  const Status s = ReplayLogTail(fx.client.get(), &eng, &res, 0);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(res.checksum_records_verified, uint64_t{kWrites / 3});
+  EXPECT_EQ(GetKey(&eng, "b17"), "v17");
+}
+
 TEST(ReplicaServerTest, EvictionAndExpiryConvergeThroughLogAndRestore) {
   TempDir store_dir;
   LogGroup group(3);

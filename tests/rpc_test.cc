@@ -18,6 +18,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc.h"
 #include "engine/engine.h"
 #include "net/remote_log_gate.h"
 #include "net/server.h"
@@ -450,6 +455,169 @@ TEST(LogServiceTest, RetriedAppendAfterDroppedAckDoesNotDoubleCommit) {
   const Counter* retries = fx.registry.FindCounter("txlog_retries_total");
   ASSERT_NE(retries, nullptr);
   EXPECT_GE(retries->value(), 1u);
+}
+
+struct BatchResult {
+  Status status = Status::OK();
+  uint64_t first = 0;
+  size_t count = 0;
+};
+
+BatchResult AppendBatchSync(txlog::RemoteClient* client, uint64_t prev,
+                            std::vector<txlog::LogRecord> records) {
+  auto done = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> result = done->get_future();
+  client->AppendBatch(prev, std::move(records),
+                      [done](const Status& s, uint64_t first, size_t count) {
+                        done->set_value({s, first, count});
+                      });
+  return result.get();
+}
+
+txlog::LogRecord IdRecord(uint64_t writer, uint64_t request_id,
+                          const std::string& payload) {
+  txlog::LogRecord r;
+  r.writer = writer;
+  r.request_id = request_id;
+  r.payload = payload;
+  return r;
+}
+
+// Committed entries in index order (one read; the test's logs are small).
+std::vector<txlog::LogEntry> ReadLog(txlog::RemoteClient* client) {
+  txlog::wire::ClientReadResponse rsp;
+  const Status s = client->ReadSync(1, 10000, 0, &rsp);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return rsp.entries;
+}
+
+// A batch's dropped ack makes the client retry the same request; the
+// daemon's per-record dedup finds the whole batch and acks it once, at the
+// contiguous indexes of the first attempt.
+TEST(LogServiceTest, RetriedBatchAfterDroppedAckCommitsOnceContiguously) {
+  LogGroup group(3);
+  const int leader = group.WaitForLeader();
+  ASSERT_GE(leader, 0);
+
+  txlog::RemoteClient::Options opt;
+  opt.rpc_timeout_ms = 150;
+  opt.backoff_base_ms = 10;
+  opt.backoff_cap_ms = 50;
+  ClientFixture fx(group.endpoints, opt);
+  group.services[static_cast<size_t>(leader)]->fault().DropResponses(
+      txlog::rpcwire::kAppend, 1);
+
+  std::vector<txlog::LogRecord> batch;
+  for (const char* p : {"b-0", "b-1", "b-2"}) batch.push_back(fx.DataRecord(p));
+  const BatchResult r = AppendBatchSync(fx.client.get(),
+                                        txlog::wire::kUnconditional, batch);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.count, 3u);
+  ASSERT_TRUE(group.WaitForCommit(r.first + 2));
+  std::map<std::string, uint64_t> at;
+  for (const txlog::LogEntry& e : ReadLog(fx.client.get())) {
+    if (e.record.type != txlog::RecordType::kData) continue;
+    EXPECT_EQ(at.count(e.record.payload), 0u) << "duplicate " << e.index;
+    at[e.record.payload] = e.index;
+  }
+  EXPECT_EQ(at["b-0"], r.first);
+  EXPECT_EQ(at["b-1"], r.first + 1);
+  EXPECT_EQ(at["b-2"], r.first + 2);
+  EXPECT_GE(fx.registry.FindCounter("txlog_retries_total")->value(), 1u);
+}
+
+// A retried batch that the leader holds only in part — here a crash tore
+// the tail off its log file — is acked for the prefix it holds, at the
+// original indexes. The rest is reported as not appended, and appends once
+// when re-sent.
+TEST(LogServiceTest, RetriedBatchHeldAsPrefixAcksOnlyThePrefix) {
+  char tmpl[] = "/tmp/memdb_rpc_batch_XXXXXX";
+  char* dir = ::mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string data_dir = dir;
+  txlog::LogService::Options sopt;
+  sopt.node_id = 1;
+  sopt.fsync = false;
+  sopt.data_dir = data_dir;
+  sopt.heartbeat_ms = 20;
+  sopt.election_min_ms = 50;
+  sopt.election_max_ms = 120;
+
+  const std::vector<txlog::LogRecord> batch = {
+      IdRecord(77, 101, "p-0"), IdRecord(77, 102, "p-1"),
+      IdRecord(77, 103, "p-2")};
+  uint64_t first = 0;
+  {
+    txlog::LogService svc(sopt);
+    ASSERT_TRUE(svc.Start().ok());
+    svc.SetPeers({{1, "127.0.0.1:" + std::to_string(svc.port())}});
+    while (!svc.IsLeader()) SleepMs(5);
+    ClientFixture fx({"127.0.0.1:" + std::to_string(svc.port())});
+    const BatchResult r =
+        AppendBatchSync(fx.client.get(), txlog::wire::kUnconditional, batch);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_EQ(r.count, 3u);
+    first = r.first;
+    svc.Stop();
+  }
+  // Tear the last frame: LoadDisk keeps the clean prefix (p-0, p-1).
+  const std::string log_path = data_dir + "/log";
+  std::string bytes;
+  {
+    std::ifstream in(log_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 3u);
+  std::ofstream(log_path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 3));
+
+  txlog::LogService svc(sopt);
+  ASSERT_TRUE(svc.Start().ok());
+  svc.SetPeers({{1, "127.0.0.1:" + std::to_string(svc.port())}});
+  while (!svc.IsLeader()) SleepMs(5);
+  ClientFixture fx({"127.0.0.1:" + std::to_string(svc.port())});
+  // The retry (same ids) finds p-0 and p-1 at their original indexes.
+  BatchResult r =
+      AppendBatchSync(fx.client.get(), txlog::wire::kUnconditional, batch);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.first, first);
+  EXPECT_EQ(r.count, 2u);
+  // The rest goes again, with a fresh request id.
+  r = AppendBatchSync(fx.client.get(), txlog::wire::kUnconditional,
+                      {IdRecord(77, 0, "p-2")});
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.count, 1u);
+  std::map<std::string, int> seen;
+  for (const txlog::LogEntry& e : ReadLog(fx.client.get())) {
+    if (e.record.type == txlog::RecordType::kData) ++seen[e.record.payload];
+  }
+  EXPECT_EQ(seen, (std::map<std::string, int>{{"p-0", 1}, {"p-1", 1},
+                                              {"p-2", 1}}));
+  svc.Stop();
+  const std::string cmd = "rm -rf '" + data_dir + "'";
+  [[maybe_unused]] const int rc = std::system(cmd.c_str());
+}
+
+// A one-record request keeps the single-record wire format byte for byte.
+TEST(AppendWireTest, OneRecordRequestEncodesAsBefore) {
+  txlog::wire::ClientAppendRequest req;
+  req.prev_index = 5;
+  txlog::LogRecord rec = IdRecord(7, 9, "ab");
+  rec.trace_id = 300;
+  req.records.push_back(rec);
+  // prev_index | type | writer | request_id | trace_id (varint 300) | "ab"
+  EXPECT_EQ(req.Encode(), std::string("\x05\x01\x07\x09\xac\x02\x02" "ab", 9));
+
+  req.records.push_back(IdRecord(7, 10, "cd"));
+  txlog::wire::ClientAppendRequest back;
+  ASSERT_TRUE(txlog::wire::ClientAppendRequest::Decode(Slice(req.Encode()),
+                                                       &back));
+  ASSERT_EQ(back.records.size(), 2u);
+  EXPECT_EQ(back.records[1].request_id, 10u);
+  EXPECT_EQ(back.records[1].payload, "cd");
+  // Trailing bytes that are not a whole record are rejected, not dropped.
+  EXPECT_FALSE(txlog::wire::ClientAppendRequest::Decode(
+      Slice(req.Encode() + "\x01"), &back));
 }
 
 // Satellite: exponential backoff delays are jittered and capped.
@@ -938,10 +1106,38 @@ TEST(DurabilityGateTest, InfoReportsRpcSection) {
   EXPECT_NE(info.str.find("txlog_gate_appends_total:1"), std::string::npos);
 }
 
-// ---------------------------------------------------------------------------
-// Fence-mode gate (§4.1): appends chain on the previous index; a foreign
-// record in a precondition gap means the shard lease is lost — terminally.
+// Commands are timed below a microsecond, so the GETs and SETs INFO reports
+// carry nonzero time, not whole-microsecond zeros.
+TEST(ServerInfoTest, CommandstatsAndLatencystatsResolveSubMicrosecond) {
+  net::ServerConfig config;
+  config.port = 0;
+  config.loop_timeout_ms = 10;
+  engine::Engine engine;
+  net::RespServer server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    GateClient c(server.port());
+    ASSERT_TRUE(c.ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(c.SendCommand({"SET", "k" + std::to_string(i), "v"}));
+      ASSERT_TRUE(c.SendCommand({"GET", "k" + std::to_string(i)}));
+    }
+    ASSERT_EQ(c.ReadReplies(100).size(), 100u);
+    const std::string info = c.RoundTrip({"INFO", "COMMANDSTATS"}).str;
+    const size_t at = info.find("cmdstat_get:calls=50,usec=");
+    ASSERT_NE(at, std::string::npos) << info;
+    const size_t per = info.find("usec_per_call=", at);
+    ASSERT_NE(per, std::string::npos);
+    EXPECT_GT(std::atof(info.c_str() + per + 14), 0.0) << info;
+    const std::string lat = c.RoundTrip({"INFO", "LATENCYSTATS"}).str;
+    const size_t p50 = lat.find("latency_percentiles_usec_set:p50=");
+    ASSERT_NE(p50, std::string::npos) << lat;
+    EXPECT_GT(std::atof(lat.c_str() + p50 + 33), 0.0) << lat;
+  }
+  server.Stop();
+}
 
+// Completions the gate has reported, polling until n arrive.
 std::vector<net::RemoteLogGate::Completion> WaitCompletions(
     net::RemoteLogGate* gate, size_t n, int timeout_ms = 8000) {
   std::vector<net::RemoteLogGate::Completion> out;
@@ -953,6 +1149,126 @@ std::vector<net::RemoteLogGate::Completion> WaitCompletions(
   }
   return out;
 }
+
+// ---------------------------------------------------------------------------
+// Group commit in the gate: one append in flight, carrying everything that
+// queued behind it.
+
+// A scripted stand-in for the log leader: answers txlog.ConditionalAppend
+// with `script`, and keeps every request it decoded.
+struct FakeLog {
+  using Script = std::function<txlog::wire::ClientAppendResponse(
+      const txlog::wire::ClientAppendRequest&)>;
+  explicit FakeLog(Script script_in) : script(std::move(script_in)) {
+    EXPECT_TRUE(loop.Start().ok());
+    server = std::make_unique<rpc::Server>(&loop, "127.0.0.1", 0);
+    server->RegisterHandler(
+        txlog::rpcwire::kAppend, [this](rpc::Server::Call&& call) {
+          txlog::wire::ClientAppendRequest req;
+          EXPECT_TRUE(txlog::wire::ClientAppendRequest::Decode(
+              Slice(call.payload), &req));
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            requests.push_back(req);
+          }
+          call.respond(rpc::Code::kOk, script(req).Encode());
+        });
+    EXPECT_TRUE(server->Start().ok());
+  }
+  ~FakeLog() {
+    server->Stop();
+    loop.Stop();
+  }
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(server->port());
+  }
+  std::vector<txlog::wire::ClientAppendRequest> Requests() {
+    std::lock_guard<std::mutex> lock(mu);
+    return requests;
+  }
+
+  Script script;
+  rpc::LoopThread loop;
+  std::unique_ptr<rpc::Server> server;
+  std::mutex mu;
+  std::vector<txlog::wire::ClientAppendRequest> requests;
+};
+
+net::RemoteLogGate::Options GateOptions(std::vector<std::string> endpoints) {
+  net::RemoteLogGate::Options opt;
+  opt.endpoints = std::move(endpoints);
+  opt.writer_id = 5;
+  opt.rpc_timeout_ms = 250;
+  opt.backoff_base_ms = 10;
+  opt.backoff_cap_ms = 100;
+  return opt;
+}
+
+// Writes that queue behind an append leave as one batch, each its own
+// record. When the log acks only a prefix of it, the gate completes that
+// prefix and sends the rest again with fresh request ids — the checksum
+// record in the rest keeps the value folded when it first left the queue.
+TEST(GroupCommitGateTest, QueuedWritesBatchAndPrefixAckResendsTheRest) {
+  uint64_t tail = 0;
+  int calls = 0;
+  FakeLog log([&](const txlog::wire::ClientAppendRequest& req) {
+    txlog::wire::ClientAppendResponse r;
+    r.result = txlog::wire::ClientResult::kOk;
+    r.index = tail + 1;
+    // The second append meets a leader that holds only two of its records.
+    r.count = ++calls == 2 ? 2 : req.records.size();
+    tail += r.count;
+    return r;
+  });
+  log.server->fault().DelayResponses(txlog::rpcwire::kAppend, 200, 1);
+
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions({log.endpoint()});
+  opt.checksum_every = 3;
+  opt.rpc_timeout_ms = 5000;  // the held ack must not turn into a retry
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+  gate.SubmitAppend("w1", 0);
+  // Once w1 is on the wire (its ack held back), the rest queue behind it.
+  for (int i = 0; i < 5000 && log.Requests().empty(); ++i) SleepMs(1);
+  ASSERT_EQ(log.Requests().size(), 1u);
+  for (const char* p : {"w2", "w3", "w4", "w5"}) gate.SubmitAppend(p, 0);
+
+  const auto done = WaitCompletions(&gate, 5);
+  ASSERT_EQ(done.size(), 5u);
+  const uint64_t want_index[] = {1, 2, 3, 5, 6};  // a checksum record at 4
+  for (size_t i = 0; i < done.size(); ++i) {
+    ASSERT_TRUE(done[i].status.ok()) << done[i].status.ToString();
+    EXPECT_EQ(done[i].seq, i + 1);
+    EXPECT_EQ(done[i].index, want_index[i]);
+  }
+  const auto reqs = log.Requests();
+  ASSERT_EQ(reqs.size(), 3u);
+  ASSERT_EQ(reqs[1].records.size(), 5u);  // w2 w3 chk w4 w5
+  ASSERT_EQ(reqs[2].records.size(), 3u);  //        chk w4 w5
+  uint64_t crc = 0;
+  for (const char* p : {"w1", "w2", "w3"}) crc = Crc64(crc, Slice(p, 2));
+  std::string want_chk;
+  PutFixed64(&want_chk, crc);
+  EXPECT_EQ(reqs[1].records[2].type, txlog::RecordType::kChecksum);
+  EXPECT_EQ(reqs[2].records[0].type, txlog::RecordType::kChecksum);
+  EXPECT_EQ(reqs[2].records[0].payload, want_chk);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(reqs[2].records[i].payload, reqs[1].records[i + 2].payload);
+    EXPECT_NE(reqs[2].records[i].request_id, reqs[1].records[i + 2].request_id);
+  }
+  // Appends count batches, not re-sends; the group-size histogram sees both.
+  EXPECT_EQ(registry.FindCounter("txlog_gate_appends_total")->value(), 2u);
+  const Histogram* groups = registry.FindHistogram("txlog_group_size");
+  ASSERT_NE(groups, nullptr);
+  EXPECT_EQ(groups->count(), 2u);
+  EXPECT_EQ(groups->max(), 5u);
+  gate.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Fence-mode gate (§4.1): appends chain on the previous index; a foreign
+// record in a precondition gap means the shard lease is lost — terminally.
 
 TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   LogGroup group(3);
@@ -1008,6 +1324,82 @@ TEST(FencedGateTest, BenignTailMovementRechainsForeignGrantFences) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].status.IsConditionFailed());
 
+  gate.Stop();
+}
+
+// A fenced batch whose precondition went stale while it queued re-chains
+// as a whole, checksum record included: the lease record that moved the
+// tail sits before it, and the log holds every record once, in order.
+TEST(FencedGateTest, StaleBatchWithChecksumRecordRechainsWhole) {
+  LogGroup group(3);
+  const int leader = group.WaitForLeader();
+  ASSERT_GE(leader, 0);
+
+  MetricsRegistry registry;
+  net::RemoteLogGate::Options opt = GateOptions(group.endpoints);
+  opt.fence = true;
+  opt.shard_id = "shard-0";
+  opt.checksum_every = 2;
+  opt.rpc_timeout_ms = 5000;  // the held ack must not turn into a retry
+  net::RemoteLogGate gate(opt, &registry);
+  ASSERT_TRUE(gate.Start([] {}).ok());
+  gate.SubmitAppend("c-1", 0);
+  ASSERT_EQ(WaitCompletions(&gate, 1).size(), 1u);
+
+  // [c-2, chk] commits, its ack held back; meanwhile another shard's lease
+  // moves the tail and c-3, c-4 queue. Their batch [c-3, c-4, chk] is then
+  // sent on the stale chain position.
+  txlog::LogService* leader_svc =
+      group.services[static_cast<size_t>(leader)].get();
+  const uint64_t c1_commit = leader_svc->commit_index();
+  leader_svc->fault().DelayResponses(txlog::rpcwire::kAppend, 200, 1);
+  gate.SubmitAppend("c-2", 0);
+  for (int i = 0; i < 5000 && leader_svc->commit_index() < c1_commit + 2;
+       ++i) {
+    SleepMs(1);
+  }
+  ASSERT_GE(leader_svc->commit_index(), c1_commit + 2);
+  ClientFixture fx(group.endpoints);
+  txlog::rpcwire::LeaseResponse lease;
+  ASSERT_TRUE(
+      fx.client->AcquireLeaseSync(22, 60000, "shard-other", &lease).ok());
+  gate.SubmitAppend("c-3", 0);
+  gate.SubmitAppend("c-4", 0);
+
+  const auto done = WaitCompletions(&gate, 3);
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& c : done) {
+    ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  }
+  EXPECT_FALSE(gate.fenced());
+  EXPECT_EQ(done[2].index, done[1].index + 1);
+  EXPECT_EQ(registry.FindHistogram("txlog_group_size")->max(), 3u);
+  ASSERT_TRUE(group.WaitForCommit(done[2].index + 1));
+
+  std::vector<std::string> order;
+  uint64_t crc = 0;
+  for (const txlog::LogEntry& e : ReadLog(fx.client.get())) {
+    switch (e.record.type) {
+      case txlog::RecordType::kData:
+        order.push_back(e.record.payload);
+        crc = Crc64(crc, Slice(e.record.payload));
+        break;
+      case txlog::RecordType::kChecksum: {
+        order.push_back("chk");
+        std::string want;
+        PutFixed64(&want, crc);
+        EXPECT_EQ(e.record.payload, want) << "at index " << e.index;
+        break;
+      }
+      case txlog::RecordType::kLease:
+        order.push_back("lease");
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"c-1", "c-2", "chk", "lease",
+                                             "c-3", "c-4", "chk"}));
   gate.Stop();
 }
 

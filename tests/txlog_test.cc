@@ -155,6 +155,41 @@ TEST_F(TxLogTest, AppendIsDurableOnAllReplicasEventually) {
   }
 }
 
+// The simulator's log takes a multi-record request whole: every record is
+// appended at contiguous indexes, and the one ack carries the first index
+// and the count. No record is dropped.
+TEST_F(TxLogTest, MultiRecordAppendCommitsEveryRecordContiguously) {
+  NodeId leader = sim::kInvalidNode;
+  for (size_t i = 0; i < group_->size(); ++i) {
+    if (group_->replica(i)->IsLeader()) leader = group_->replica_ids()[i];
+  }
+  ASSERT_NE(leader, sim::kInvalidNode);
+  wire::ClientAppendRequest req;
+  for (const char* p : {"m-0", "m-1", "m-2"}) {
+    req.records.push_back(DataRecord(p));
+  }
+  bool done = false;
+  wire::ClientAppendResponse resp;
+  client_->Rpc(leader, wire::kClientAppend, req.Encode(), 1 * kSec,
+               [&](const Status& s, const std::string& body) {
+                 EXPECT_TRUE(s.ok()) << s.ToString();
+                 EXPECT_TRUE(
+                     wire::ClientAppendResponse::Decode(Slice(body), &resp));
+                 done = true;
+               });
+  for (int i = 0; i < 1000 && !done; ++i) sim_->RunFor(10 * kMs);
+  ASSERT_TRUE(done);
+  ASSERT_EQ(resp.result, wire::ClientResult::kOk);
+  EXPECT_EQ(resp.count, 3u);
+  std::map<uint64_t, std::string> data;
+  for (const LogEntry& e : ReadAllSync()) {
+    if (e.record.type == RecordType::kData) data[e.index] = e.record.payload;
+  }
+  EXPECT_EQ(data, (std::map<uint64_t, std::string>{{resp.index, "m-0"},
+                                                   {resp.index + 1, "m-1"},
+                                                   {resp.index + 2, "m-2"}}));
+}
+
 TEST_F(TxLogTest, ConditionalAppendCasSemantics) {
   uint64_t tail = TailSync();
   uint64_t i1 = 0;

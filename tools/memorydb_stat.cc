@@ -183,6 +183,8 @@ int main(int argc, char** argv) {
   if (targets.empty()) return Usage(argv[0]);
   if (series.empty()) {
     series = {"connected_clients",     "txlog_gate_appends_total",
+              "txlog_group_size_count", "txlog_group_size_sum",
+              "txlog_group_size{quantile=\"0.5\"}",
               "raft_role",             "raft_commit_index",
               "txlog_fsyncs_total",    "offbox_cycles_total",
               "offbox_last_snapshot_position",
