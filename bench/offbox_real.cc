@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "bench_support/envelope.h"
-#include "common/coding.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
+#include "engine/effect_batch.h"
 #include "engine/engine.h"
 #include "net/server.h"
 #include "replication/offbox_runner.h"
@@ -118,13 +118,8 @@ struct Group {
 
 // One SET effect batch in the wire format log consumers replay.
 std::string EffectBatch(int i) {
-  std::string out;
-  PutLengthPrefixed(&out, "7.0.7");
-  PutVarint64(&out, 3);
-  PutLengthPrefixed(&out, "SET");
-  PutLengthPrefixed(&out, "key" + std::to_string(i));
-  PutLengthPrefixed(&out, std::string(64, 'v'));
-  return out;
+  return engine::EncodeEffectBatch(
+      "7.0.7", {{"SET", "key" + std::to_string(i), std::string(64, 'v')}});
 }
 
 // Pipelined append of `n` effect batches (window of 64) — fills the log

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "engine/effect_batch.h"
 #include "resp/resp.h"
 #include "rpc/frame.h"
 #include "txlog/wire.h"
@@ -158,6 +159,35 @@ void TxlogAppendSeeds(const fs::path& dir) {
   WriteSeed(dir, "entries_count_overflow", huge_count);
 }
 
+void EffectBatchSeeds(const fs::path& dir) {
+  using memdb::engine::EncodeEffectBatch;
+
+  WriteSeed(dir, "one_set", EncodeEffectBatch("7.0.7", {{"SET", "k", "v"}}));
+  // An active-expiry cycle's DELs next to a rewritten relative expiry.
+  const std::string multi = EncodeEffectBatch(
+      "7.0.7", {{"SET", "a", std::string(200, 'x')},
+                {"PEXPIREAT", "a", "1700000000000"},
+                {"DEL", "b", "c"},
+                {"SET", "", ""}});
+  WriteSeed(dir, "multi_effect", multi);
+  WriteSeed(dir, "header_only", EncodeEffectBatch("7.1.0", {}));
+  // Two batches joined the way group commit joins them.
+  WriteSeed(dir, "concatenated",
+            multi + multi.substr(EncodeEffectBatch("7.0.7", {}).size()));
+
+  // Must reject: a zero argc, an argc far beyond the bytes left (must not
+  // allocate), a torn last effect, and a version longer than the input.
+  std::string zero = EncodeEffectBatch("7.0.7", {});
+  memdb::PutVarint64(&zero, 0);
+  WriteSeed(dir, "zero_argc", zero);
+  std::string huge = EncodeEffectBatch("7.0.7", {});
+  memdb::PutVarint64(&huge, 1ull << 40);
+  memdb::PutLengthPrefixed(&huge, "SET");
+  WriteSeed(dir, "argc_overflow", huge);
+  WriteSeed(dir, "torn_last_effect", multi.substr(0, multi.size() - 1));
+  WriteSeed(dir, "bad_version_length", std::string("\x7f") + "7.0.7");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -169,5 +199,6 @@ int main(int argc, char** argv) {
   RespSeeds(root / "resp_decode");
   RpcSeeds(root / "rpc_frame");
   TxlogAppendSeeds(root / "txlog_append");
+  EffectBatchSeeds(root / "effect_batch");
   return 0;
 }

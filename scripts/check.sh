@@ -11,8 +11,7 @@
 #      rpc, txlog, replication)
 #   5. memdb-analyzer call-graph invariants (transitive blocking, lock-order
 #      cycles, status discards, rpc deadlines, ok-return pairing, plus the
-#      folded lint.py file rules); falls back to tools/lint.py if the
-#      analyzer cannot run at all
+#      file rules: raw sync types, memory orders, lock-free trace path)
 #   6. fuzz-smoke: the parser harnesses replay their seed corpora under
 #      the ASan+UBSan build from stage 3; with clang, additionally a
 #      bounded (~30s) coverage-guided libFuzzer run, crash artifacts
@@ -147,23 +146,10 @@ tsan_stage() {
 run_stage "tsan build + common/net/rpc/txlog suites" tsan_stage
 
 # --- 5. analyzer: call-graph repo invariants ---------------------------------
-# memdb-analyzer subsumes lint.py's four regex rules and adds the
-# call-graph checks. It auto-selects its frontend (clang.cindex where
-# libclang exists, the bundled textual parser otherwise); lint.py remains
-# as the fallback only if the analyzer itself cannot run (exit 4 or no
-# python3).
-analyze_stage() {
-  python3 "$ROOT/tools/memdb_analyzer.py"
-  local rc=$?
-  if [ "$rc" -eq 4 ]; then
-    echo "memdb-analyzer frontend unavailable; falling back to tools/lint.py"
-    python3 "$ROOT/tools/lint.py"
-    rc=$?
-  fi
-  return "$rc"
-}
+# memdb-analyzer picks its frontend (clang.cindex where libclang exists, the
+# bundled textual parser otherwise), so it runs wherever python3 does.
 if command -v python3 >/dev/null 2>&1; then
-  run_stage "memdb-analyzer" analyze_stage
+  run_stage "memdb-analyzer" python3 "$ROOT/tools/memdb_analyzer.py"
 else
   skip_stage "memdb-analyzer" "python3 not installed"
 fi
@@ -176,7 +162,7 @@ fi
 # artifact is preserved under fuzz/artifacts/ for replay.
 fuzz_smoke_stage() {
   local rc=0
-  for harness in resp_decode rpc_frame txlog_append; do
+  for harness in resp_decode rpc_frame txlog_append effect_batch; do
     local driver="$ROOT/build-asan/fuzz/${harness}_fuzz_driver"
     if [ ! -x "$driver" ]; then
       echo "missing $driver (stage 3 must build first)" >&2

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/crc.h"
+#include "engine/effect_batch.h"
 
 namespace memdb::memorydb {
 
@@ -104,8 +105,9 @@ void Node::StartLoops() {
     if (!ctx.effects.empty()) {
       PendingRecord rec;
       rec.batch_seq = next_batch_seq_++;
-      rec.payload = EncodeEffectBatch(ctx.effects);
-      for (const auto& k : ctx.dirty_keys) key_hazards_[k] = rec.batch_seq;
+      rec.payload = engine::EncodeEffectBatch(config_.engine_version,
+                                              ctx.effects);
+      tracker_.AddHazards(rec.batch_seq, ctx.dirty_keys);
       EnqueueRecord(std::move(rec));
     }
   });
@@ -127,9 +129,7 @@ void Node::OnRestart() {
   checksum_violation_ = false;
   pipeline_.clear();
   append_in_flight_ = false;
-  acked_batch_seq_ = next_batch_seq_;
-  key_hazards_.clear();
-  deferred_reads_.clear();
+  tracker_.Clear([](uint64_t, const PendingReply&) {});
   lease_deadline_ = 0;
   last_lease_observed_ = Now();
   stepping_down_ = false;
@@ -169,8 +169,8 @@ Histogram* Node::FamilyHistogram(const std::string& family) {
 
 void Node::SyncDepthGauges() {
   pipeline_depth_gauge_->Set(static_cast<int64_t>(pipeline_.size()));
-  tracker_keys_gauge_->Set(static_cast<int64_t>(key_hazards_.size()));
-  deferred_reads_gauge_->Set(static_cast<int64_t>(deferred_reads_.size()));
+  tracker_keys_gauge_->Set(static_cast<int64_t>(tracker_.hazards()));
+  deferred_reads_gauge_->Set(static_cast<int64_t>(tracker_.parked()));
 }
 
 void Node::SyncRoleInfo() {
@@ -348,23 +348,25 @@ void Node::ExecuteOnPrimary(const Message& m,
     // parked until the record is durable in a majority of AZs (§3.2).
     PendingRecord rec;
     rec.batch_seq = next_batch_seq_++;
-    rec.payload = EncodeEffectBatch(ctx.effects);
+    rec.payload = engine::EncodeEffectBatch(config_.engine_version,
+                                            ctx.effects);
     rec.trace_id = rt.id;
     rec.replies.push_back(PendingReply{m, std::move(final_reply), rt});
-    for (const auto& k : ctx.dirty_keys) key_hazards_[k] = rec.batch_seq;
+    tracker_.AddHazards(rec.batch_seq, ctx.dirty_keys);
     trace_.Record(rt.id, "pipeline.enqueue", Now());
     EnqueueRecord(std::move(rec));
     return;
   }
 
   // Non-mutating (or no-op): consult the tracker for key-level hazards.
-  const uint64_t hazard = HazardFor(read_keys);
-  if (hazard > acked_batch_seq_) {
+  // Requests carry no connection order here, so each parks on its own
+  // (its trace id is its tracker client).
+  const uint64_t hazard = tracker_.HazardFor(read_keys);
+  if (tracker_.MustPark(rt.id, hazard)) {
     ++stats_.reads_deferred_by_tracker;
     reads_deferred_counter_->Increment();
     trace_.Record(rt.id, "read.hazard_defer", Now(), hazard);
-    deferred_reads_.emplace(hazard,
-                            PendingReply{m, std::move(final_reply), rt});
+    tracker_.Park(rt.id, hazard, PendingReply{m, std::move(final_reply), rt});
     SyncDepthGauges();
     return;
   }
@@ -378,60 +380,7 @@ void Node::ExecuteReadOnReplica(const Message& m, const engine::Argv& argv,
   FinishCommand(PendingReply{m, engine_.Execute(argv, &ctx), rt}, "cmd.reply");
 }
 
-// ---------------------------------------------------------------- tracker
-
-uint64_t Node::HazardFor(const std::vector<std::string>& keys) const {
-  uint64_t hazard = 0;
-  for (const std::string& k : keys) {
-    auto it = key_hazards_.find(k);
-    if (it != key_hazards_.end()) hazard = std::max(hazard, it->second);
-  }
-  return hazard;
-}
-
-void Node::ReleaseUpTo(uint64_t batch_seq) {
-  while (!deferred_reads_.empty() &&
-         deferred_reads_.begin()->first <= batch_seq) {
-    FinishCommand(deferred_reads_.begin()->second, "read.release");
-    deferred_reads_.erase(deferred_reads_.begin());
-  }
-  for (auto it = key_hazards_.begin(); it != key_hazards_.end();) {
-    if (it->second <= batch_seq) {
-      it = key_hazards_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  SyncDepthGauges();
-}
-
 // ---------------------------------------------------------------- pipeline
-
-std::string Node::EncodeEffectBatch(const std::vector<engine::Argv>& effects) {
-  std::string out;
-  PutLengthPrefixed(&out, config_.engine_version);
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&out, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&out, a);
-  }
-  return out;
-}
-
-bool Node::DecodeEffectBatch(const std::string& payload, std::string* version,
-                             std::vector<engine::Argv>* effects) {
-  Decoder dec(payload);
-  if (!dec.GetLengthPrefixed(version)) return false;
-  while (!dec.Empty()) {
-    uint64_t argc;
-    if (!dec.GetVarint64(&argc) || argc == 0) return false;
-    engine::Argv argv(argc);
-    for (uint64_t i = 0; i < argc; ++i) {
-      if (!dec.GetLengthPrefixed(&argv[i])) return false;
-    }
-    effects->push_back(std::move(argv));
-  }
-  return true;
-}
 
 void Node::EnqueueRecord(PendingRecord record) {
   if (record.enqueued_at == 0) record.enqueued_at = Now();
@@ -442,11 +391,9 @@ void Node::EnqueueRecord(PendingRecord record) {
     const bool back_is_front = (pipeline_.size() == 1);
     if (back.type == txlog::RecordType::kData &&
         !(back_is_front && front_in_flight)) {
-      // Strip the version header of the incoming batch before appending.
-      Decoder dec(record.payload);
-      std::string version;
-      dec.GetLengthPrefixed(&version);
-      back.payload.append(record.payload.substr(dec.Position()));
+      // Same engine version: the incoming effects extend back's batch.
+      const Slice effects = engine::EffectBatchReader(record.payload).rest();
+      back.payload.append(effects.data(), effects.size());
       back.data_records += record.data_records;
       back.batch_seq = std::max(back.batch_seq, record.batch_seq);
       for (auto& r : record.replies) back.replies.push_back(std::move(r));
@@ -517,25 +464,26 @@ void Node::OnAppendResult(const Status& s, uint64_t index) {
     } else if (rec.type == txlog::RecordType::kLease) {
       if (rec.payload == "release") {
         // Collaborative handover (§5.2): the release is durable; replicas
-        // observing it campaign immediately. Stop serving now.
-        acked_batch_seq_ = std::max(acked_batch_seq_, rec.batch_seq);
-        for (PendingReply& pr : rec.replies) {
-          FinishCommand(pr, "cmd.release");
-        }
+        // observing it campaign immediately. Stop serving now (a lease
+        // record carries no replies).
         Demote("collaborative handover");
         return;
       }
       lease_renew_hist_->Record(Now() - rec.enqueued_at);
       lease_deadline_ = Now() + config_.lease_duration;
     }
-    acked_batch_seq_ = std::max(acked_batch_seq_, rec.batch_seq);
+    tracker_.Complete(rec.batch_seq, /*ok=*/true);
     for (PendingReply& pr : rec.replies) {
       if (rec.type == txlog::RecordType::kData && pr.trace.id != 0) {
         write_commit_hist_->Record(Now() - pr.trace.received_at);
       }
       FinishCommand(pr, "cmd.release");
     }
-    ReleaseUpTo(acked_batch_seq_);
+    // Reads parked on the records now durable follow their writes out.
+    tracker_.Release([this](uint64_t, const PendingReply& pr, bool) {
+      FinishCommand(pr, "read.release");
+    });
+    SyncDepthGauges();
     FlushPipeline();
     return;
   }
@@ -639,9 +587,9 @@ void Node::Demote(const std::string& reason) {
     for (PendingReply& pr : rec.replies) ReplyValue(pr.request, err);
   }
   pipeline_.clear();
-  for (auto& [seq, pr] : deferred_reads_) ReplyValue(pr.request, err);
-  deferred_reads_.clear();
-  key_hazards_.clear();
+  tracker_.Clear([&](uint64_t, const PendingReply& pr) {
+    ReplyValue(pr.request, err);
+  });
   metrics_.GetCounter("node_demotions_total")->Increment();
   SyncDepthGauges();
   StartRecovery();
@@ -740,21 +688,22 @@ size_t Node::ApplyEntry(const txlog::LogEntry& entry) {
   size_t effects_applied = 0;
   switch (entry.record.type) {
     case txlog::RecordType::kData: {
-      std::string version;
-      std::vector<engine::Argv> effects;
-      if (!DecodeEffectBatch(entry.record.payload, &version, &effects)) {
-        checksum_violation_ = true;
-        break;
-      }
-      if (CompareEngineVersions(version, config_.engine_version) > 0) {
+      engine::EffectBatchReader batch(entry.record.payload);
+      if (batch.ok() &&
+          CompareEngineVersions(batch.version(), config_.engine_version) > 0) {
         // Replication stream produced by a newer engine: stop consuming
         // (§7.1 upgrade protection) — do not advance applied_index_.
         version_blocked_ = true;
         return 0;
       }
-      for (const engine::Argv& argv : effects) {
+      engine::Argv argv;
+      while (batch.Next(&argv)) {
         engine_.Apply(argv, Now() / 1000);
         ++effects_applied;
+      }
+      if (!batch.ok()) {
+        checksum_violation_ = true;
+        break;
       }
       running_checksum_ = Crc64(running_checksum_, entry.record.payload);
       ++data_records_seen_;

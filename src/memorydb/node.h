@@ -34,6 +34,7 @@
 #include "client/db_wire.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "engine/durability_tracker.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 #include "sim/actor.h"
@@ -183,10 +184,6 @@ class Node : public sim::Actor {
   void SyncRoleInfo();
   engine::ExecContext MakeContext(engine::Role role);
 
-  // ---- tracker (§3.2) -----------------------------------------------------
-  void ReleaseUpTo(uint64_t batch_seq);
-  uint64_t HazardFor(const std::vector<std::string>& keys) const;
-
   // ---- append pipeline ----------------------------------------------------
   void EnqueueRecord(PendingRecord record);
   void FlushPipeline();
@@ -240,10 +237,6 @@ class Node : public sim::Actor {
       migration_queue_;
   std::map<uint16_t, bool> migration_rpc_inflight_;
 
-  std::string EncodeEffectBatch(const std::vector<engine::Argv>& effects);
-  bool DecodeEffectBatch(const std::string& payload, std::string* version,
-                         std::vector<engine::Argv>* effects);
-
   NodeConfig config_;
   engine::Engine engine_;
   txlog::TxLogClient log_;
@@ -270,14 +263,13 @@ class Node : public sim::Actor {
   std::deque<PendingRecord> pipeline_;
   bool append_in_flight_ = false;
   uint64_t next_batch_seq_ = 1;
-  uint64_t acked_batch_seq_ = 0;
   uint64_t next_request_id_ = 1;
   uint64_t data_since_checksum_ = 0;
 
-  // Key-level hazards: key -> batch_seq of the latest unacked mutation.
-  std::map<std::string, uint64_t> key_hazards_;
-  // Reads deferred on a hazard: batch_seq -> parked replies.
-  std::multimap<uint64_t, PendingReply> deferred_reads_;
+  // Client blocking tracker (§3.2) over batch seqs: key hazards, reads
+  // parked on them (each request is its own client, keyed by trace id),
+  // and the acknowledged floor.
+  engine::DurabilityTracker<uint64_t, PendingReply> tracker_;
 
   // Lease state.
   sim::Time lease_deadline_ = 0;

@@ -14,6 +14,7 @@
 #include <algorithm>
 
 #include "common/crc.h"
+#include "engine/effect_batch.h"
 #include "engine/snapshot.h"
 #include "memorydb/node.h"
 
@@ -124,13 +125,12 @@ void Node::ApplyAndReplicate(const std::vector<engine::Argv>& effects) {
   }
   PendingRecord rec;
   rec.batch_seq = next_batch_seq_++;
-  rec.payload = EncodeEffectBatch(effects);
+  rec.payload = engine::EncodeEffectBatch(config_.engine_version, effects);
   for (const engine::Argv& argv : effects) {
     const engine::CommandSpec* spec = engine_.FindCommand(argv[0]);
     if (spec == nullptr) continue;
-    for (auto& k : engine::Engine::CommandKeys(*spec, argv)) {
-      key_hazards_[k] = rec.batch_seq;
-    }
+    tracker_.AddHazards(rec.batch_seq,
+                        engine::Engine::CommandKeys(*spec, argv));
   }
   EnqueueRecord(std::move(rec));
 }
@@ -140,11 +140,7 @@ void Node::ApplyAndReplicate(const std::vector<engine::Argv>& effects) {
 void Node::ForwardEffects(uint16_t slot, const std::vector<engine::Argv>& effects) {
   std::string payload;
   PutVarint64(&payload, slot);
-  PutVarint64(&payload, effects.size());
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&payload, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&payload, a);
-  }
+  payload += engine::EncodeEffectBatch(config_.engine_version, effects);
   migration_queue_[slot].emplace_back("db.slot_apply", std::move(payload));
   PumpMigrationQueue(slot);
 }
@@ -267,20 +263,12 @@ void Node::RegisterSlotHandlers() {
       return;
     }
     Decoder dec(m.payload);
-    uint64_t slot, count;
-    if (!dec.GetVarint64(&slot) || !dec.GetVarint64(&count)) return;
+    uint64_t slot;
+    if (!dec.GetVarint64(&slot)) return;
+    engine::EffectBatchReader batch(
+        Slice(m.payload.data() + dec.Position(), dec.Remaining()));
     std::vector<engine::Argv> effects;
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t argc;
-      if (!dec.GetVarint64(&argc)) break;
-      engine::Argv argv(argc);
-      bool ok = true;
-      for (uint64_t j = 0; j < argc && ok; ++j) {
-        ok = dec.GetLengthPrefixed(&argv[j]);
-      }
-      if (!ok) break;
-      effects.push_back(std::move(argv));
-    }
+    for (engine::Argv argv; batch.Next(&argv);) effects.push_back(argv);
     if (!effects.empty()) ApplyAndReplicate(effects);
     Reply(m, "");
   });

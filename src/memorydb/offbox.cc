@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/crc.h"
+#include "engine/effect_batch.h"
 #include "memorydb/node.h"
 
 namespace memdb::memorydb {
@@ -107,22 +108,9 @@ void OffboxSnapshotter::ReplayFrom(uint64_t from_index) {
     for (const txlog::LogEntry& e : r.entries) {
       if (e.index > target_tail_) break;
       if (e.record.type == txlog::RecordType::kData) {
-        std::string version;
-        std::vector<engine::Argv> effects;
-        Decoder dec(e.record.payload);
-        if (dec.GetLengthPrefixed(&version)) {
-          while (!dec.Empty()) {
-            uint64_t argc;
-            if (!dec.GetVarint64(&argc)) break;
-            engine::Argv argv(argc);
-            bool ok = true;
-            for (uint64_t i = 0; i < argc && ok; ++i) {
-              ok = dec.GetLengthPrefixed(&argv[i]);
-            }
-            if (!ok) break;
-            engine_.Apply(argv, Now() / 1000);
-          }
-        }
+        engine::EffectBatchReader batch(e.record.payload);
+        engine::Argv argv;
+        while (batch.Next(&argv)) engine_.Apply(argv, Now() / 1000);
         // Step 2 of verification: recompute the running checksum from the
         // prior snapshot's basis...
         running_checksum_ = Crc64(running_checksum_, e.record.payload);

@@ -12,6 +12,7 @@
 #include "common/coding.h"
 #include "common/crc.h"
 #include "common/trace_export.h"
+#include "engine/effect_batch.h"
 #include "engine/snapshot.h"
 #include "replication/snapshot_store.h"
 #include "shard/slot_wire.h"
@@ -31,19 +32,6 @@ constexpr size_t kExpirePerCycle = 20;
 // iterations (with a zero poll timeout) instead of one monolithic stall
 // that would starve reads and lease upkeep (ROADMAP 2a).
 constexpr size_t kFollowerApplyChunk = 4096;
-
-// Same wire format as Node::EncodeEffectBatch, so log consumers decode
-// either producer: engine version, then per-effect argc + argv.
-std::string EncodeEffectBatch(const std::string& engine_version,
-                              const std::vector<engine::Argv>& effects) {
-  std::string out;
-  PutLengthPrefixed(&out, engine_version);
-  for (const engine::Argv& argv : effects) {
-    PutVarint64(&out, argv.size());
-    for (const std::string& a : argv) PutLengthPrefixed(&out, a);
-  }
-  return out;
-}
 
 // Random hex run id (INFO # Server), fresh per process start.
 std::string MakeRunId() {
@@ -201,23 +189,7 @@ Status RespServer::Start() {
                                            config_.lease_acquire_wait_ms));
   }
   if (!config_.txlog_endpoints.empty()) {
-    RemoteLogGate::Options gopt;
-    gopt.endpoints = config_.txlog_endpoints;
-    gopt.writer_id = config_.txlog_writer_id;
-    gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
-    gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
-    gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
-    gopt.max_attempts = config_.txlog_max_attempts;
-    gopt.checksum_every = config_.txlog_checksum_every;
-    gopt.checksum_seed = repl_running_checksum_;
-    gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-    gopt.fence = config_.failover;
-    gopt.shard_id = config_.shard_id;
-    gopt.trace = &trace_;
-    // Instruments resolve into metrics_ here, before the loop thread exists.
-    gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-    gate_for_drain_.store(gate_.get(), std::memory_order_release);
-    MEMDB_RETURN_IF_ERROR(gate_->Start([this] { loop_.Wakeup(); }));
+    MEMDB_RETURN_IF_ERROR(StartGate(config_.txlog_endpoints, config_.failover));
   }
   if (!config_.replica_of_log.empty()) {
     replication::LogFollower::Options fopt;
@@ -492,31 +464,12 @@ void RespServer::PromoteToPrimary() {
   // Whatever the chunked applier still holds past the replay target can
   // only be lease renewals (no data record commits above our grant).
   follower_backlog_.clear();
-  RemoteLogGate::Options gopt;
-  gopt.endpoints = config_.replica_of_log;
-  gopt.writer_id = config_.txlog_writer_id;
-  gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
-  gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
-  gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
-  gopt.max_attempts = config_.txlog_max_attempts;
-  gopt.checksum_every = config_.txlog_checksum_every;
-  // The replica-side chain verified through applied_index seeds the
-  // primary-side chain: the §7.2.1 checksum survives the failover.
-  gopt.checksum_seed = repl_running_checksum_;
-  gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
-  gopt.fence = true;
-  gopt.shard_id = config_.shard_id;
-  gopt.trace = &trace_;
-  gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
-  gate_for_drain_.store(gate_.get(), std::memory_order_release);
-  const Status st = gate_->Start([this] { loop_.Wakeup(); });
+  const Status st = StartGate(config_.replica_of_log, /*fence=*/true);
   if (!st.ok()) {
     // Endpoints are non-empty (we were following them), so this is a local
     // resource failure; without a gate this node cannot serve writes.
     std::fprintf(stderr, "memorydb-server: promotion gate start failed: %s\n",
                  st.ToString().c_str());
-    gate_for_drain_.store(nullptr, std::memory_order_release);
-    gate_.reset();
     return;
   }
   role_ = ServerRole::kPrimary;
@@ -527,20 +480,45 @@ void RespServer::PromoteToPrimary() {
                static_cast<unsigned long long>(server_info_.applied_index));
 }
 
+Status RespServer::StartGate(const std::vector<std::string>& endpoints,
+                             bool fence) {
+  RemoteLogGate::Options gopt;
+  gopt.endpoints = endpoints;
+  gopt.writer_id = config_.txlog_writer_id;
+  gopt.rpc_timeout_ms = config_.txlog_rpc_timeout_ms;
+  gopt.backoff_base_ms = config_.txlog_backoff_base_ms;
+  gopt.backoff_cap_ms = config_.txlog_backoff_cap_ms;
+  gopt.max_attempts = config_.txlog_max_attempts;
+  gopt.checksum_every = config_.txlog_checksum_every;
+  // The chain restored at startup, or verified by the replica through its
+  // applied index, seeds the primary-side chain: the §7.2.1 checksum
+  // survives restarts and failovers.
+  gopt.checksum_seed = repl_running_checksum_;
+  gopt.tail_poll_ms = config_.txlog_tail_poll_ms;
+  gopt.fence = fence;
+  gopt.shard_id = config_.shard_id;
+  gopt.trace = &trace_;
+  gate_ = std::make_unique<RemoteLogGate>(std::move(gopt), &metrics_);
+  gate_for_drain_.store(gate_.get(), std::memory_order_release);
+  const Status st = gate_->Start([this] { loop_.Wakeup(); });
+  if (!st.ok()) {
+    gate_for_drain_.store(nullptr, std::memory_order_release);
+    gate_.reset();
+  }
+  return st;
+}
+
 void RespServer::DemoteFenced() {
   loop_affinity_.AssertHeldThread();
   role_ = ServerRole::kFenced;
   server_info_.role = "fenced";
   // Every parked reply waits on durability that can never be acknowledged
   // by this node again: fail them and hang up, Redis-style.
-  for (auto& [c, q] : held_) {
-    held_count_ -= q.size();
-    q.clear();
+  tracker_.Clear([](Connection* c, const ParkedReply&) {
     c->QueueOutput(
         "-READONLY Fenced: this node lost its primary lease; reconnect to "
         "the new primary.\r\n");
-  }
-  held_.clear();
+  });
   // Hang up on EVERY client, not just the parked ones: a client that saw
   // this node ack a write must not keep reading from it as if it were still
   // the primary — its next read here would be stale the moment the new
@@ -548,11 +526,7 @@ void RespServer::DemoteFenced() {
   for (auto& [ptr, conn] : connections_) {
     ptr->set_state(Connection::State::kClosing);
   }
-  held_atomic_.store(held_count_, std::memory_order_release);
-  key_hazards_.clear();
-  conn_last_write_seq_.clear();
   pending_writes_.clear();
-  failed_.clear();
   // Retire the gate: stop its loop now (cuts background retries), destroy
   // it with the server. gate_ null makes every write path read-only.
   gate_for_drain_.store(nullptr, std::memory_order_release);
@@ -598,30 +572,14 @@ void RespServer::AcceptPending() {
   }
 }
 
-void RespServer::Hold(Connection* c, HeldReply reply) {
-  loop_affinity_.AssertHeldThread();
-  held_[c].push_back(std::move(reply));
-  ++held_count_;
-  held_atomic_.store(held_count_, std::memory_order_release);
+void RespServer::SendOrPark(Connection* c, uint64_t seq,
+                            const std::string& encoded, uint64_t write_seq) {
+  if (!tracker_.MustPark(c, seq)) {
+    c->QueueOutput(encoded);
+    return;
+  }
+  tracker_.Park(c, seq, ParkedReply{write_seq, encoded});
   log_blocked_replies_->Increment();
-}
-
-uint64_t RespServer::HazardFor(const engine::CommandSpec* spec,
-                               const std::vector<std::string>& argv) const {
-  if (spec == nullptr || spec->key_step <= 0 || key_hazards_.empty()) {
-    return 0;
-  }
-  const int argc = static_cast<int>(argv.size());
-  int last = spec->last_key >= 0 ? spec->last_key : argc + spec->last_key;
-  if (last >= argc) last = argc - 1;
-  uint64_t hazard = 0;
-  for (int i = spec->first_key; i > 0 && i <= last; i += spec->key_step) {
-    const auto it = key_hazards_.find(argv[static_cast<size_t>(i)]);
-    if (it != key_hazards_.end() && it->second > hazard) {
-      hazard = it->second;
-    }
-  }
-  return hazard;
 }
 
 void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
@@ -718,33 +676,16 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
         continue;
       }
     }
-    // The connection's place in the reply order: a reply can only be sent
-    // directly if nothing older is still parked on this connection.
-    const auto held_it = held_.find(c);
-    const bool queue_behind =
-        held_it != held_.end() && !held_it->second.empty();
-
     if (gate_ != nullptr && name == "WAIT") {
       // WAIT semantics over the remote log: by the time this reply is
       // released, every prior write of this connection has committed on a
-      // majority of log replicas — report that quorum size (§3).
+      // majority of log replicas — report that quorum size (§3). A write's
+      // reply stays parked until then, and WAIT queues behind it.
       encoded.clear();
       resp::Value::Integer(
           static_cast<int64_t>(gate_->replica_count() / 2 + 1))
           .EncodeTo(&encoded);
-      const auto seq_it = conn_last_write_seq_.find(c);
-      const uint64_t wait_seq =
-          seq_it != conn_last_write_seq_.end() ? seq_it->second : 0;
-      if (wait_seq > done_floor_ || queue_behind) {
-        HeldReply h;
-        h.seq = queue_behind ? std::max(wait_seq, held_it->second.back().seq)
-                             : wait_seq;
-        h.kind = HeldReply::Kind::kWait;
-        h.encoded = encoded;
-        Hold(c, std::move(h));
-      } else {
-        c->QueueOutput(encoded);
-      }
+      SendOrPark(c, /*seq=*/0, encoded);
       continue;
     }
 
@@ -778,7 +719,7 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
               : 0;
       trace_.Record(trace_id, "cmd.receive", receive_us, c->id());
       const uint64_t seq = gate_->SubmitAppend(
-          EncodeEffectBatch(server_info_.engine_version, ctx.effects),
+          engine::EncodeEffectBatch(server_info_.engine_version, ctx.effects),
           trace_id);
       const uint64_t submit_us = NowUs();
       trace_.Record(trace_id, "gate.submit", submit_us, seq);
@@ -788,39 +729,26 @@ void RespServer::ExecutePending(Connection* c, uint64_t now_ms) {
       pw.submit_us = submit_us;
       pw.argv = SlowlogArgv(argv);
       pending_writes_[seq] = std::move(pw);
-      for (const std::string& key : ctx.dirty_keys) {
-        key_hazards_[key] = seq;
-      }
-      conn_last_write_seq_[c] = seq;
-      HeldReply h;
-      h.seq = seq;
-      h.kind = HeldReply::Kind::kWrite;
-      h.encoded = encoded;
-      Hold(c, std::move(h));
+      tracker_.AddHazards(seq, ctx.dirty_keys);
+      SendOrPark(c, seq, encoded, seq);
     } else {
       // Read (or effect-less write): §3.2 — the value may exist locally
       // but not yet be durable; park the reply behind the hazarding append
       // so no client observes a value that could still be lost.
-      const uint64_t hazard = HazardFor(spec, argv);
-      if (hazard > done_floor_ || queue_behind) {
-        if (hazard > done_floor_) {
-          // Attribute the read's wait to the hazarding write's trace: the
-          // §3.2 consistency stall is part of that write's latency story.
-          const auto hz = pending_writes_.find(hazard);
-          if (hz != pending_writes_.end()) {
-            trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
-                          c->id());
-          }
+      const uint64_t hazard =
+          spec == nullptr || tracker_.hazards() == 0
+              ? 0
+              : tracker_.HazardFor(engine::Engine::CommandKeys(*spec, argv));
+      if (hazard > tracker_.floor()) {
+        // Attribute the read's wait to the hazarding write's trace: the
+        // §3.2 consistency stall is part of that write's latency story.
+        const auto hz = pending_writes_.find(hazard);
+        if (hz != pending_writes_.end()) {
+          trace_.Record(hz->second.trace_id, "hazard.defer", NowUs(),
+                        c->id());
         }
-        HeldReply h;
-        h.seq = queue_behind ? std::max(hazard, held_it->second.back().seq)
-                             : hazard;
-        h.kind = HeldReply::Kind::kRead;
-        h.encoded = encoded;
-        Hold(c, std::move(h));
-      } else {
-        c->QueueOutput(encoded);
       }
+      SendOrPark(c, hazard, encoded);
     }
     ctx.effects.clear();
     ctx.dirty_keys.clear();
@@ -839,7 +767,8 @@ void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
   if (done.empty()) return;
   const uint64_t now_us = NowUs();
   for (const RemoteLogGate::Completion& comp : done) {
-    done_floor_ = comp.seq;  // the gate completes appends in seq order
+    // The gate completes appends in seq order.
+    tracker_.Complete(comp.seq, comp.status.ok());
     if (migrator_ != nullptr &&
         migrator_->OnGateCompletion(comp.seq, comp.status.ok())) {
       continue;  // migration-internal append: no client reply parked on it
@@ -856,69 +785,47 @@ void RespServer::ProcessLogCompletions(std::vector<Connection*>* released) {
       // SLOWLOG duration still need its stamps.
     }
     if (!comp.status.ok()) {
-      failed_.insert(comp.seq);
       std::fprintf(stderr,
                    "memorydb-server: transaction log append %llu failed: %s\n",
                    static_cast<unsigned long long>(comp.seq),
                    comp.status.ToString().c_str());
     }
   }
-  // Hazards at or below the floor are resolved.
-  for (auto it = key_hazards_.begin(); it != key_hazards_.end();) {
-    it = it->second <= done_floor_ ? key_hazards_.erase(it) : ++it;
-  }
-  // Release parked replies in per-connection order up to the floor.
-  for (auto it = held_.begin(); it != held_.end();) {
-    Connection* c = it->first;
-    std::deque<HeldReply>& q = it->second;
-    bool progressed = false;
-    while (!q.empty() && q.front().seq <= done_floor_) {
-      HeldReply h = std::move(q.front());
-      q.pop_front();
-      --held_count_;
-      if (h.kind == HeldReply::Kind::kWrite && failed_.count(h.seq) > 0) {
-        // The write is applied locally but not in the durable log: local
-        // state has diverged. A production primary would demote and resync
-        // from the log (§3.1); here the client learns its write was not
-        // made durable and the connection is closed.
-        c->QueueOutput("-ERR transaction log unavailable\r\n");
-        c->set_state(Connection::State::kClosing);
-        held_count_ -= q.size();
-        q.clear();
-      } else {
-        c->QueueOutput(h.encoded);
-        if (h.kind == HeldReply::Kind::kWrite) {
-          const auto pw = pending_writes_.find(h.seq);
-          if (pw != pending_writes_.end()) {
-            const uint64_t release_us = NowUs();
-            trace_.Record(pw->second.trace_id, "reply.release", release_us,
-                          h.seq);
-            const uint64_t duration_us = release_us - pw->second.receive_us;
-            if (duration_us >= config_.slowlog_slower_than_us) {
-              SlowlogEntry e;
-              e.id = slowlog_next_id_++;
-              e.unix_ts = NowMs() / 1000;
-              e.duration_us = duration_us;
-              e.argv = std::move(pw->second.argv);
-              slowlog_.push_front(std::move(e));
-              if (slowlog_.size() > config_.slowlog_max_len) {
-                slowlog_.pop_back();
-              }
-            }
-          }
-        }
-      }
-      progressed = true;
+  tracker_.Release([&](Connection* c, const ParkedReply& r, bool ok) {
+    released->push_back(c);
+    if (!ok) {
+      // The write is applied locally but not in the durable log: local
+      // state has diverged, and a read parked on it would return the lost
+      // value. A production primary would demote and resync from the log
+      // (§3.1); here the client learns its command was not made durable
+      // and the connection is closed.
+      c->QueueOutput("-ERR transaction log unavailable\r\n");
+      c->set_state(Connection::State::kClosing);
+      return;
     }
-    if (progressed) released->push_back(c);
-    it = q.empty() ? held_.erase(it) : ++it;
-  }
-  failed_.erase(failed_.begin(), failed_.upper_bound(done_floor_));
+    c->QueueOutput(r.encoded);
+    if (r.write_seq != 0) FinishWrite(r.write_seq);
+  });
   // Writes at or below the floor have released (or failed) their replies.
   for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
-    it = it->first <= done_floor_ ? pending_writes_.erase(it) : ++it;
+    it = it->first <= tracker_.floor() ? pending_writes_.erase(it) : ++it;
   }
-  held_atomic_.store(held_count_, std::memory_order_release);
+}
+
+void RespServer::FinishWrite(uint64_t seq) {
+  const auto pw = pending_writes_.find(seq);
+  if (pw == pending_writes_.end()) return;
+  const uint64_t release_us = NowUs();
+  trace_.Record(pw->second.trace_id, "reply.release", release_us, seq);
+  const uint64_t duration_us = release_us - pw->second.receive_us;
+  if (duration_us < config_.slowlog_slower_than_us) return;
+  SlowlogEntry e;
+  e.id = slowlog_next_id_++;
+  e.unix_ts = NowMs() / 1000;
+  e.duration_us = duration_us;
+  e.argv = std::move(pw->second.argv);
+  slowlog_.push_front(std::move(e));
+  if (slowlog_.size() > config_.slowlog_max_len) slowlog_.pop_back();
 }
 
 void RespServer::DispatchBatch(const std::vector<Connection*>& readable,
@@ -957,26 +864,31 @@ void RespServer::Housekeeping(uint64_t now_ms) {
       continue;
     }
     const size_t out = c->output_pending();
-    if (out > config_.output_hard_bytes ||
-        c->input_buffered() > config_.input_hard_bytes) {
+    const char* limit = nullptr;
+    if (out > config_.output_hard_bytes) {
+      limit = "output buffer over the hard limit";
+    } else if (c->input_buffered() > config_.input_hard_bytes) {
+      limit = "query buffer over the hard limit";
+    } else if (out <= config_.output_soft_bytes) {
+      c->soft_over_since_ms = 0;
+    } else if (c->soft_over_since_ms == 0) {
+      c->soft_over_since_ms = now_ms;
+    } else if (now_ms - c->soft_over_since_ms >= config_.output_soft_ms) {
+      limit = "output buffer over the soft limit too long";
+    }
+    if (limit != nullptr) {
+      std::fprintf(stderr,
+                   "memorydb-server: evicting client %llu: %s (output %zu "
+                   "bytes, input %zu bytes)\n",
+                   static_cast<unsigned long long>(c->id()), limit, out,
+                   c->input_buffered());
       evicted_->Increment();
       doomed.push_back(c);
       continue;
     }
-    if (out > config_.output_soft_bytes) {
-      if (c->soft_over_since_ms == 0) {
-        c->soft_over_since_ms = now_ms;
-      } else if (now_ms - c->soft_over_since_ms >= config_.output_soft_ms) {
-        evicted_->Increment();
-        doomed.push_back(c);
-        continue;
-      }
-    } else {
-      c->soft_over_since_ms = 0;
-    }
     // A connection with parked replies is not idle: keep it open until the
     // log catches up, even if nothing is buffered for output yet.
-    const bool parked = held_.count(c) > 0;
+    const bool parked = tracker_.blocked(c);
     if (c->peer_closed() && out == 0) {
       doomed.push_back(c);
       continue;
@@ -1010,7 +922,8 @@ void RespServer::Housekeeping(uint64_t now_ms) {
   recent_max_input_->Set(static_cast<int64_t>(
       input_hwm_cur_ > input_hwm_prev_ ? input_hwm_cur_ : input_hwm_prev_));
   // Clients whose replies are parked behind the durability gate (§3.2).
-  blocked_clients_->Set(static_cast<int64_t>(held_.size()));
+  blocked_clients_->Set(static_cast<int64_t>(tracker_.blocked_clients()));
+  held_atomic_.store(tracker_.parked(), std::memory_order_release);
 
   // Replicas never expire keys themselves; they apply the primary's DEL
   // effects from the log (§2.1), keeping both sides bit-identical. Same
@@ -1030,7 +943,7 @@ void RespServer::Housekeeping(uint64_t now_ms) {
       // reply is parked on it and no key hazard is taken — unlike an
       // unacknowledged SET, absence is reproducible from time alone.
       gate_->SubmitAppend(
-          EncodeEffectBatch(server_info_.engine_version, ctx.effects),
+          engine::EncodeEffectBatch(server_info_.engine_version, ctx.effects),
           /*trace_id=*/0);
     }
   }
@@ -1038,13 +951,7 @@ void RespServer::Housekeeping(uint64_t now_ms) {
 
 void RespServer::CloseConnection(Connection* c) {
   loop_affinity_.AssertHeldThread();
-  const auto held_it = held_.find(c);
-  if (held_it != held_.end()) {
-    held_count_ -= held_it->second.size();
-    held_.erase(held_it);
-    held_atomic_.store(held_count_, std::memory_order_release);
-  }
-  conn_last_write_seq_.erase(c);
+  tracker_.Drop(c);
   loop_.Remove(c->fd());
   c->Close();
   connections_.erase(c);
@@ -1438,9 +1345,8 @@ uint64_t RespServer::MigrationDelete(const std::vector<std::string>& keys) {
   // Replicates like any write; no client reply is parked on it, and no key
   // hazard is needed — once the key is locally absent, the migrating slot
   // answers -ASK and the target (which holds the durable copy) serves it.
-  const std::vector<engine::Argv> effects{del};
   return gate_->SubmitAppend(
-      EncodeEffectBatch(server_info_.engine_version, effects),
+      engine::EncodeEffectBatch(server_info_.engine_version, {del}),
       /*trace_id=*/0);
 }
 

@@ -32,7 +32,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -42,6 +41,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/trace.h"
+#include "engine/durability_tracker.h"
 #include "engine/engine.h"
 #include "failover/failover_manager.h"
 #include "net/connection.h"
@@ -205,15 +205,11 @@ class RespServer : private shard::MigrationHost {
   const TraceLog& trace_log() const { return trace_; }
 
  private:
-  // A reply parked until the transaction log catches up to `seq`.
-  struct HeldReply {
-    enum class Kind : uint8_t {
-      kWrite,  // this connection's own append; errors close the connection
-      kRead,   // read behind another connection's key hazard
-      kWait,   // WAIT: reply synthesized at release time
-    };
-    uint64_t seq = 0;
-    Kind kind = Kind::kRead;
+  // A reply parked in the tracker until the transaction log commits the
+  // seq it depends on. write_seq names the connection's own write (its
+  // release closes that write's trace and may enter SLOWLOG); 0 otherwise.
+  struct ParkedReply {
+    uint64_t write_seq = 0;
     std::string encoded;
   };
 
@@ -250,6 +246,9 @@ class RespServer : private shard::MigrationHost {
   // start a fenced RemoteLogGate against the same txlogd group, and begin
   // serving writes as the new primary.
   void PromoteToPrimary();
+  // Creates and starts the RemoteLogGate that makes this node a durable
+  // primary; gate_ stays null when it cannot start.
+  Status StartGate(const std::vector<std::string>& endpoints, bool fence);
   // Loop thread, terminal: this primary lost the shard lease. Fail every
   // parked reply, retire the gate, answer all further writes -READONLY.
   void DemoteFenced();
@@ -260,13 +259,14 @@ class RespServer : private shard::MigrationHost {
   void DispatchBatch(const std::vector<Connection*>& readable,
                      uint64_t now_ms);
   void ExecutePending(Connection* c, uint64_t now_ms);
-  // Drains gate completions, releases parked replies in order, prunes key
-  // hazards; connections that gained output are appended to *released.
+  // Drains gate completions into the tracker and sends the replies it
+  // releases; connections that gained output are appended to *released.
   void ProcessLogCompletions(std::vector<Connection*>* released);
-  void Hold(Connection* c, HeldReply reply);
-  // Largest append seq hazarding any key this command touches (0 = none).
-  uint64_t HazardFor(const engine::CommandSpec* spec,
-                     const std::vector<std::string>& argv) const;
+  // Sends `encoded` now, or parks it in the tracker until `seq` commits.
+  void SendOrPark(Connection* c, uint64_t seq, const std::string& encoded,
+                  uint64_t write_seq = 0);
+  // A released write reply: close its trace and maybe log it as slow.
+  void FinishWrite(uint64_t seq);
   void Housekeeping(uint64_t now_ms);
   void CloseConnection(Connection* c);
   // Admin-plane commands served directly from loop state (never parked
@@ -327,15 +327,11 @@ class RespServer : private shard::MigrationHost {
   bool started_ = false;
 
   // --- durability-gate state (loop thread) ---------------------------------
-  std::unordered_map<Connection*, std::deque<HeldReply>> held_;
-  std::unordered_map<Connection*, uint64_t> conn_last_write_seq_;
-  std::unordered_map<std::string, uint64_t> key_hazards_;
+  // Client blocking tracker (§3.2) over gate seqs, which complete in order.
+  engine::DurabilityTracker<Connection*, ParkedReply> tracker_;
   // Live from gate.submit until the reply releases (entries at or below
-  // done_floor_ are pruned after each release pass).
+  // the tracker's floor are pruned after each release pass).
   std::unordered_map<uint64_t, PendingWrite> pending_writes_;
-  uint64_t done_floor_ = 0;      // completions arrive in seq order
-  std::set<uint64_t> failed_;    // seqs whose append terminally failed
-  size_t held_count_ = 0;
   uint64_t next_trace_id_ = 1;
   TraceSampler sampler_;
 
@@ -370,7 +366,8 @@ class RespServer : private shard::MigrationHost {
   bool repl_trim_fatal_reported_ = false;
   // Data-plane role (loop thread; seeded in Start before the loop spawns).
   ServerRole role_ = ServerRole::kPrimary;
-  // Mirror of held_count_ for the shutdown drain (written on loop thread).
+  // Mirror of tracker_.parked() for the shutdown drain (written on the loop
+  // thread once per iteration).
   std::atomic<uint64_t> held_atomic_{0};
 
   // Instruments (all owned by metrics_, updated on the loop thread only).

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/crc.h"
+#include "engine/effect_batch.h"
 
 namespace memdb::replication {
 
@@ -17,19 +18,10 @@ uint64_t WallMs() {
 }  // namespace
 
 bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms) {
-  Decoder dec(payload);
-  std::string version;
-  if (!dec.GetLengthPrefixed(&version)) return false;
-  while (!dec.Empty()) {
-    uint64_t argc = 0;
-    if (!dec.GetVarint64(&argc) || argc == 0) return false;
-    engine::Argv argv(argc);
-    for (uint64_t i = 0; i < argc; ++i) {
-      if (!dec.GetLengthPrefixed(&argv[i])) return false;
-    }
-    engine->Apply(argv, now_ms);
-  }
-  return true;
+  engine::EffectBatchReader batch(payload);
+  engine::Argv argv;
+  while (batch.Next(&argv)) engine->Apply(argv, now_ms);
+  return batch.ok();
 }
 
 Status RestoreFromStore(SnapshotStore* store, engine::Engine* engine,

@@ -26,11 +26,11 @@
 
 namespace memdb::replication {
 
-// Decodes one kData effect-batch payload (engine version, then per-effect
-// argc + argv — the format both Node and RespServer produce) and applies
-// every effect to the engine. False on a malformed payload; effects already
-// applied stay applied (the payload is trusted once its frame CRC passed,
-// so this only trips on version skew or producer bugs).
+// Decodes one kData effect-batch payload (engine/effect_batch.h) and
+// applies each effect to the engine as it is decoded. False on a malformed
+// payload; effects already applied stay applied (the payload is trusted
+// once its frame CRC passed, so this only trips on version skew or
+// producer bugs).
 bool ApplyEffectBatch(engine::Engine* engine, Slice payload, uint64_t now_ms);
 
 struct RestoreResult {

@@ -915,11 +915,13 @@ int CountDataEntries(txlog::RemoteClient* client, int expected,
 }
 
 struct DurableServerFixture {
-  explicit DurableServerFixture(LogGroup* group_in) : group(group_in) {
+  explicit DurableServerFixture(LogGroup* group_in, int txlog_max_attempts = 8)
+      : group(group_in) {
     net::ServerConfig config;
     config.port = 0;
     config.loop_timeout_ms = 10;
     config.txlog_endpoints = group->endpoints;
+    config.txlog_max_attempts = txlog_max_attempts;
     config.txlog_rpc_timeout_ms = 250;
     config.txlog_backoff_base_ms = 10;
     config.txlog_backoff_cap_ms = 100;
@@ -1059,6 +1061,40 @@ TEST(DurabilityGateTest, WaitBlocksUntilPriorWritesDurable) {
 
   // With nothing outstanding, WAIT answers immediately.
   EXPECT_EQ(c.RoundTrip({"WAIT", "2", "1000"}).integer, 2);
+}
+
+// §3.2 when an append fails for good: a read parked on the hazard of the
+// failed write must not be released with the write's value, which never
+// reached the log. Both the writer and the reader get the error.
+TEST(DurabilityGateTest, ReadParkedOnFailedAppendGetsAnError) {
+  LogGroup group(3);
+  ASSERT_GE(group.WaitForLeader(), 0);
+  DurableServerFixture fx(&group, /*txlog_max_attempts=*/2);
+
+  // Every replica drops every append: the gate's two attempts time out.
+  for (auto& svc : group.services) {
+    svc->fault().DropRequests(txlog::rpcwire::kAppend, 1000);
+  }
+  GateClient writer(fx.server->port());
+  GateClient reader(fx.server->port());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(writer.SendCommand({"SET", "lost", "unlogged"}));
+  SleepMs(50);  // applied locally, its append still being retried
+  ASSERT_TRUE(reader.SendCommand({"GET", "lost"}));
+
+  const std::vector<Value> w = writer.ReadReplies(1);
+  const std::vector<Value> r = reader.ReadReplies(1);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0].type, resp::Type::kError);
+  EXPECT_NE(w[0].str.find("transaction log unavailable"), std::string::npos)
+      << w[0].str;
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].type, resp::Type::kError) << r[0].str;
+  EXPECT_NE(r[0].str.find("transaction log unavailable"), std::string::npos)
+      << r[0].str;
+
+  for (auto& svc : group.services) svc->fault().Clear();
 }
 
 // Satellite: shutdown drains in-flight appends — a write whose ack is still
